@@ -21,6 +21,7 @@ from .commutators import evaluate_bounds, search_constant
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
 from .norms import NormSpec, norm
 from .radii import (
+    ConvergenceError,
     central_numerical_radius,
     membership_in_range,
     numerical_radius,
@@ -160,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rad = csub.add_parser("radius", help="minimal spectral-norm replacement radius")
     add_common(p_rad)
     p_rad.add_argument("--kind", choices=("L", "R", "C"), default="C")
-    p_rad.add_argument("--restarts", type=int, default=8)
-    p_rad.add_argument("--seed", type=int, default=0)
 
     p_var = csub.add_parser("variance", help="state variance of a matrix observable")
     add_common(p_var)
@@ -177,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wr = csub.add_parser("wradius", help="radius of the smallest disk containing the numerical range")
     add_common(p_wr)
     p_wr.add_argument("--angles", type=int, default=1024,
-                      help="boundary sample size for the initial center")
+                      help="number of support angles sampled around the numerical range")
 
     p_cb = csub.add_parser("commutator-bounds", help="evaluate commutator norm bounds on a pair")
     p_cb.add_argument("--x", required=True, help="matrix JSON file for X")
@@ -230,7 +229,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_radius(args) -> int:
     x = load_matrix(args.input)
-    res = radius(x, args.kind, restarts=args.restarts, seed=args.seed)
+    res = radius(x, args.kind)
     if args.json:
         print(_dumps({
             "kind": res.kind,
@@ -429,7 +428,9 @@ def main(argv=None) -> int:
             return _cmd_search(args)
         if args.command == "examples":
             return _cmd_examples(args)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError, OverflowError) as exc:
+        # ValueError covers np.linalg.LinAlgError; exit code 1 is reserved
+        # for verify runs whose checks failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

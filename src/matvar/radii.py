@@ -11,15 +11,20 @@ Its square equals the largest quantum variance
     max_rho  Tr[rho |X|_*^2] - |Tr[rho X]|^2
 
 over density matrices rho, and the maximum is always attained at a pure
-state.  ``radius`` solves the outer minimization over centers directly
-(the objective is convex in y) and certifies the value with an explicit
-pure-state witness for the inner maximization, reporting the duality gap.
+state.  The numerical range W(X) is sampled by support directions: for each
+angle the top eigenpair of the Hermitian part of a rotated copy of X yields
+one supporting half plane and one boundary point.
 
-The numerical range W(X) is sampled by support directions: for each angle
-the top eigenpair of the Hermitian part of a rotated copy of X yields one
-supporting half plane and one boundary point.  The numerical radius w(X),
-the recentered radius min_z w(X - z 1), and a membership test for W(X) are
-all driven by the same support function.
+Both ``radius`` and ``central_numerical_radius`` minimise a convex function
+of one complex center with an exact subgradient, and both use the same
+deterministic central-cut ellipsoid method, which stops on a relative
+certificate (best value minus lower bound).  Inputs are shifted by trace/d
+and scaled by their largest entry first, and the outputs are mapped back, so
+the relative accuracy does not depend on the scale of X.  ``radius`` certifies
+its value with an explicit pure-state witness: ``primal_value`` is the
+witness's variance and ``gap`` the distance to the squared radius.  Nothing
+here draws random numbers; the ``restarts`` and ``seed`` arguments of
+``radius`` are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -31,13 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from .geometry import enclosing_circle
-from .linalg import (
-    MODULUS_KINDS,
-    as_density,
-    modulus_squared,
-    require_square,
-)
+from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
     "RadiusResult",
@@ -55,13 +54,18 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the center minimization fails to converge."""
+    """Raised when the center minimization reaches its iteration cap."""
 
 
 def _check_kind(kind: str) -> str:
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     return kind
+
+
+def _check_angles(k: int) -> None:
+    if k < 8:
+        raise ValueError(f"need at least 8 angles, got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,196 +85,191 @@ def quantum_variance(x, rho, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# internals shared by the primal and dual radius computations
-
-
-def _shifted_modulus_sq(a: np.ndarray, y: complex, kind: str) -> np.ndarray:
-    s = a - y * np.eye(a.shape[0], dtype=np.complex128)
-    if kind == "L":
-        m = s.conj().T @ s
-    elif kind == "R":
-        m = s @ s.conj().T
-    else:
-        m = 0.5 * (s.conj().T @ s + s @ s.conj().T)
-    return 0.5 * (m + m.conj().T)
-
-
-def _lam_max(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(h)[-1])
+# shared machinery: normalisation, support function, 2-D minimiser
 
 
 def _is_scalar_multiple_of_identity(a: np.ndarray) -> bool:
     d = a.shape[0]
-    scale = 1.0 + float(np.abs(a).max())
     off = a - a[0, 0] * np.eye(d)
-    return float(np.abs(off).max()) <= 1e-14 * scale
+    return float(np.abs(off).max()) <= 1e-14 * float(np.abs(a).max())
 
 
-def _support_grid(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles theta_j = 2 pi j / k and h(theta_j) = lam_max(Re(e^{-i theta} X))."""
-    theta = 2.0 * math.pi * np.arange(k) / k
-    phase = np.exp(-1j * theta)
-    stack = 0.5 * (phase[:, None, None] * a[None] + np.conj(phase)[:, None, None] * a.conj().T[None])
-    vals = np.linalg.eigvalsh(stack)[:, -1]
-    return theta, vals
+def _normalise(a: np.ndarray) -> tuple[complex, float, np.ndarray]:
+    """X = shift + scale * B with Tr B = 0 and max |b_ij| = 1."""
+    shift = complex(np.trace(a)) / a.shape[0]
+    b = a - shift * np.eye(a.shape[0])
+    scale = float(np.abs(b).max())
+    return shift, scale, b / scale
 
 
-def _dual_center(a: np.ndarray, kind: str, extra_starts=()) -> tuple[complex, float]:
-    """Minimize lam_max(|X - y 1|_kind^2) over complex centers y (convex)."""
-    d = a.shape[0]
-
-    def phi(xy) -> float:
-        return _lam_max(_shifted_modulus_sq(a, complex(xy[0], xy[1]), kind))
-
-    starts = [complex(np.trace(a)) / d, 0j]
-    theta, vals = _support_grid(a, 16)
-    starts.append(complex(np.mean(vals * np.exp(1j * theta))) * 2.0)  # crude range centroid
-    starts.extend(complex(s) for s in extra_starts)
-    dedup: list[complex] = []
-    for s in starts:
-        if all(abs(s - t) > 1e-12 for t in dedup):
-            dedup.append(s)
-
-    best_y, best_val, converged = dedup[0], math.inf, False
-    last = dedup[0]
-    for s in dedup:
-        res = optimize.minimize(
-            phi,
-            [s.real, s.imag],
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
-        )
-        last = complex(res.x[0], res.x[1])
-        converged = converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_y = last
-    if not converged:
-        raise ConvergenceError(f"center search did not converge; last iterate {last!r}")
-    return best_y, best_val
+def _support(a: np.ndarray, theta, vectors: bool = False):
+    """Support function of W(X) in the direction e^{-i theta}: the top
+    eigenvalue of Re(e^{i theta} X) = (e^{i theta} X + e^{-i theta} X*) / 2,
+    for one angle or an array of them, with the top eigenvectors if asked."""
+    phase = np.exp(1j * np.asarray(theta))[..., None, None]
+    stack = 0.5 * (phase * a + np.conj(phase) * a.conj().T)
+    if not vectors:
+        return np.linalg.eigvalsh(stack)[..., -1]
+    w, v = np.linalg.eigh(stack)
+    return w[..., -1], v[..., -1]
 
 
-def _var_value(a: np.ndarray, psi: np.ndarray, kind: str) -> float:
-    xp = a @ psi
-    if kind == "L":
-        second = float(np.vdot(xp, xp).real)
-    elif kind == "R":
-        xhp = a.conj().T @ psi
-        second = float(np.vdot(xhp, xhp).real)
-    else:
-        xhp = a.conj().T @ psi
-        second = 0.5 * float(np.vdot(xp, xp).real + np.vdot(xhp, xhp).real)
-    mean = complex(np.vdot(psi, xp))
-    return second - abs(mean) ** 2
+def _minimise_2d(oracle, r0: float, rtol: float, max_steps: int = 1000) -> tuple[complex, float]:
+    """Central-cut ellipsoid method for a convex f on the complex plane.
+
+    ``oracle(z)`` returns f(z) and a subgradient g (as a complex number); a
+    minimiser must lie in the disc |z| <= r0.  The ellipsoid
+    {z : (z - c)^T P^-1 (z - c) <= 1} holds every minimiser; each step keeps
+    the half that g points away from, and f(c) - sqrt(g^T P g) bounds min f
+    from below.  Stops once the best value is within rtol of that bound,
+    relatively, or once g^T P g = 0 (the ellipsoid has collapsed onto a
+    minimiser).  rtol = 1e-14 takes 100 to 260 steps on matrices up to
+    d = 64.
+    """
+    c, p11, p12, p22 = 0j, r0 * r0, 0.0, r0 * r0
+    best_z, best_f, lower = c, math.inf, -math.inf
+    for _ in range(max_steps):
+        f, g = oracle(c)
+        if f < best_f:
+            best_z, best_f = c, f
+        px, py = p11 * g.real + p12 * g.imag, p12 * g.real + p22 * g.imag
+        gpg = g.real * px + g.imag * py
+        lower = max(lower, f - math.sqrt(max(gpg, 0.0)))
+        if best_f - lower <= rtol * best_f or gpg <= 0.0:
+            return best_z, best_f
+        px, py = px / math.sqrt(gpg), py / math.sqrt(gpg)
+        c -= complex(px, py) / 3.0
+        p11, p12, p22 = (4.0 / 3.0 * (p11 - 2.0 / 3.0 * px * px),
+                         4.0 / 3.0 * (p12 - 2.0 / 3.0 * px * py),
+                         4.0 / 3.0 * (p22 - 2.0 / 3.0 * py * py))
+    raise ConvergenceError(f"center search hit its {max_steps}-step cap; "
+                           f"best {best_f!r}, lower bound {lower!r}")
 
 
-def _ascend(a: np.ndarray, msq: np.ndarray, psi: np.ndarray, kind: str,
-            max_iter: int = 400) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent for the pure-state variance, with a
-    monotonicity safeguard (Armijo backtracking)."""
-    psi = psi / np.linalg.norm(psi)
-    f = _var_value(a, psi, kind)
-    step = 0.5
-    for _ in range(max_iter):
-        xp = a @ psi
-        xhp = a.conj().T @ psi
-        mean = complex(np.vdot(psi, xp))
-        grad = msq @ psi - np.conj(mean) * xp - mean * xhp
-        grad -= np.vdot(psi, grad) * psi  # tangent projection
-        gnorm2 = float(np.vdot(grad, grad).real)
-        if gnorm2 <= 1e-22 * (1.0 + abs(f)) ** 2:
+# ---------------------------------------------------------------------------
+# radius and its variance witness
+
+
+def _shifted_eigh(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of msq - conj(y) B - y B* + |y|^2, which is |B - y|_kind^2
+    for msq = |B|_kind^2, the same expansion for every kind."""
+    return np.linalg.eigh(msq - np.conj(y) * b - y * b.conj().T + abs(y) ** 2 * np.eye(b.shape[0]))
+
+
+def _segment_hit(b: np.ndarray, xa: np.ndarray, xb: np.ndarray, q: complex) -> np.ndarray:
+    """Unit vector in span{xa, xb} with <v, B v> = q, for q on the segment
+    between the field values of xa and xb.  Rotated so that segment is real,
+    <v, (B - q) v> along v = xa + t phase xb is a real quadratic in t once
+    the phase makes its middle coefficient real; of the two such phases, the
+    one with Re(phase <xa, xb>) >= 0 keeps |v| >= 1, free of cancellation."""
+    pa, pb = complex(np.vdot(xa, b @ xa)), complex(np.vdot(xb, b @ xb))
+    c = np.conj(pb - pa) * (b - q * np.eye(b.shape[0]))
+    lo, hi = np.vdot(xa, c @ xa).real, np.vdot(xb, c @ xb).real  # lo <= 0 <= hi
+    if lo >= 0.0 or hi <= 0.0:
+        return xa if abs(pa - q) <= abs(pb - q) else xb
+    ab, ba = np.vdot(xa, c @ xb), np.vdot(xb, c @ xa)
+    phase = np.conj(ab - np.conj(ba))
+    phase = phase / abs(phase) if abs(phase) > 0.0 else 1.0
+    if (phase * np.vdot(xa, xb)).real < 0.0:
+        phase = -phase
+    mid = (phase * ab + np.conj(phase) * ba).real
+    disc = math.sqrt(mid * mid - 4.0 * lo * hi)
+    t = (disc - mid) / (2.0 * hi) if mid < 0.0 else -2.0 * lo / (mid + disc)
+    v = xa + t * phase * xb
+    return v / np.linalg.norm(v)
+
+
+def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
+    """Unit u with <u, B u> = y for y in W(B), after Carden, "A simple
+    algorithm for the inverse field of values problem", Inverse Problems 25
+    (2009).  Support points of W(B) are added across the polygon edge y lies
+    beyond until the polygon holds y; a fan triangle then holds y, and two
+    segment solves land on it.  If y lies outside W(B) by rounding, the
+    nearest point of the polygon is used instead."""
+    vecs = list(_support(b, 2.0 * math.pi * np.arange(8) / 8, vectors=True)[1])
+    for _ in range(64):
+        pts = np.array([np.vdot(u, b @ u) for u in vecs])
+        normal = 1j * (np.roll(pts, -1) - pts)  # outward: points run clockwise
+        beyond = (np.conj(normal) * (y - pts)).real
+        j = int(np.argmax(beyond))
+        if beyond[j] <= 0.0:
             break
-        improved = False
-        while step > 1e-14:
-            cand = psi + step * grad
-            cand /= np.linalg.norm(cand)
-            fc = _var_value(a, cand, kind)
-            if fc >= f + 1e-4 * step * gnorm2:
-                psi, f = cand, fc
-                step *= 1.5
-                improved = True
+        new = _support(b, -np.angle(normal[j]), vectors=True)[1]
+        vecs.insert(j + 1, new)
+        if (np.conj(normal[j]) * (np.vdot(new, b @ new) - pts[j])).real <= beyond[j]:
+            break  # no point of W(B) lies past y: y is on its boundary, or beyond
+    pts = np.array([np.vdot(u, b @ u) for u in vecs])
+    # barycentric weights of y in the fan triangles (p0, p_j+1, p_j+2)
+    e1, e2, ey = pts[1:-1] - pts[0], pts[2:] - pts[0], y - pts[0]
+    det = (np.conj(e1) * e2).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (np.conj(ey) * e2).imag / det
+        t = (np.conj(e1) * ey).imag / det
+        weights = np.stack([1.0 - s - t, s, t])
+    fit = np.where(np.abs(det) > 1e-14 * np.abs(pts - pts[0]).max() ** 2, weights.min(axis=0), -np.inf)
+    j = int(np.argmax(fit))
+    if fit[j] >= -1e-12:
+        w1, w2 = np.clip(weights[1:, j], 0.0, None)
+        if w1 + w2 == 0.0:
+            return vecs[0]
+        q = (w1 * pts[j + 1] + w2 * pts[j + 2]) / (w1 + w2)  # where the ray p0 -> y leaves
+        return _segment_hit(b, vecs[0], _segment_hit(b, vecs[j + 1], vecs[j + 2], q), y)
+    edge = np.roll(pts, -1) - pts
+    along = np.clip((np.conj(edge) * (y - pts)).real / np.maximum(np.abs(edge) ** 2, 1e-300), 0.0, 1.0)
+    near = pts + along * edge
+    j = int(np.argmin(np.abs(y - near)))
+    return _segment_hit(b, vecs[j], vecs[(j + 1) % len(vecs)], near[j])
+
+
+def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndarray]:
+    """Pure state of largest variance among candidates for both shapes of
+    optimum: for a kink, the vector of the degenerate top eigenspace of
+    |B - y|^2 whose expectation of B is y; for a smooth optimum, however
+    sharply curved, the top eigenvectors along Newton's iteration for
+    <v, B v> = y.  In the eigenbasis, with p_j = <v_j, (B - y) v>,
+    q_j = <v, (B - y) v_j> and gaps g_j, r = <v, B v> - y moves by
+    -(1 + a) dy - e conj(dy), a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum
+    2 p_j q_j / g_j.  A second pass, from the best center, keeps only the
+    eigenvectors within 1e-6 of the top, shifted by the top eigenvalue, so a
+    nearly degenerate top is resolved to the accuracy of its own split.
+    """
+    def variance(psi):
+        return float(np.vdot(psi, msq @ psi).real) - abs(np.vdot(psi, b @ psi)) ** 2
+
+    best = (-math.inf, None, y)
+    for cut in (math.inf, 1e-6):
+        y = best[2]
+        w, v = _shifted_eigh(b, msq, y)
+        top = v[:, w >= w[-1] * (1.0 - 1e-8)]
+        if top.shape[1] > 1:
+            u = top @ _inverse_field_value(top.conj().T @ b @ top, y)
+            best = max(best, (variance(u), u, y), key=lambda cand: cand[0])
+        keep = w >= w[-1] - cut * abs(w[-1])
+        cols, h = v[:, keep], np.diag(w[keep] - w[-1])
+        c = cols.conj().T @ (b - y * np.eye(b.shape[0])) @ cols
+        delta = 0j
+        for _ in range(8 if len(h) > 1 else 0):
+            mu, z = _shifted_eigh(c, h, delta)
+            u = cols @ z[:, -1]
+            best = max(best, (variance(u), u, y + delta), key=lambda cand: cand[0])
+            cz = z.conj().T @ c @ z
+            r, p, q, g = cz[-1, -1] - delta, cz[:-1, -1], cz[-1, :-1], mu[-1] - mu[:-1]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                a, e = np.sum((abs(p) ** 2 + abs(q) ** 2) / g), np.sum(2.0 * p * q / g)
+                delta += ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
+            if not np.isfinite(delta):
                 break
-            step *= 0.5
-        if not improved:
-            break
-    return f, psi
+    return best[:2]
 
 
-def _eigenspace_polish(a: np.ndarray, y: complex, lam1: float, kind: str,
-                       seed: int) -> tuple[float, np.ndarray] | None:
-    """In a degenerate top eigenspace of the shifted modulus, hunt for a unit
-    vector whose expectation of X lands on the center y; its variance then
-    meets the dual value exactly."""
-    msq = _shifted_modulus_sq(a, y, kind)
-    w, v = np.linalg.eigh(msq)
-    scale = 1.0 + abs(w[-1])
-    top = np.flatnonzero(w >= w[-1] - 1e-8 * scale)
-    if top.size < 2:
-        return None
-    sub = v[:, top]
-    xt = sub.conj().T @ a @ sub
-    m = xt.shape[0]
-
-    def off(u_flat) -> float:
-        u = u_flat[:m] + 1j * u_flat[m:]
-        n = np.linalg.norm(u)
-        if n < 1e-12:
-            return 1.0
-        u = u / n
-        return abs(complex(np.vdot(u, xt @ u)) - y) ** 2
-
-    rng = np.random.default_rng([seed, 0xE16])
-    best = None
-    for _ in range(6):
-        u0 = rng.standard_normal(2 * m)
-        res = optimize.minimize(off, u0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-24,
-                                         "maxiter": 4000, "maxfev": 8000})
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < 1e-22:
-            break
-    u = best.x[:m] + 1j * best.x[m:]
-    u /= np.linalg.norm(u)
-    psi = sub @ u
-    return _var_value(a, psi, kind), psi
-
-
-def max_variance(x, kind: str, restarts: int = 20, seed: int = 0,
-                 _dual: tuple[complex, float] | None = None) -> tuple[float, np.ndarray]:
+def max_variance(x, kind: str) -> tuple[float, np.ndarray]:
     """Largest quantum variance of X over states, with a pure witness.
 
-    The value equals the squared radius r_kind(X)^2; the returned unit
-    vector attains it (up to the ascent tolerance).
+    Returns ``(primal_value, witness)`` of ``radius(x, kind)``: the value
+    equals r_kind(X)^2 to within the reported ``gap``.
     """
-    a = require_square(x)
-    _check_kind(kind)
-    d = a.shape[0]
-    if _is_scalar_multiple_of_identity(a):
-        e1 = np.zeros(d, dtype=np.complex128)
-        e1[0] = 1.0
-        return 0.0, e1
-    if _dual is None:
-        _dual = _dual_center(a, kind)
-    y_star, lam1 = _dual
-    msq = modulus_squared(a, kind)
-    msq_shift = _shifted_modulus_sq(a, y_star, kind)
-
-    starts = [np.linalg.eigh(msq)[1][:, -1], np.linalg.eigh(msq_shift)[1][:, -1]]
-    for i in range(max(restarts - len(starts), 0)):
-        rng = np.random.default_rng([seed, i])
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append(v / np.linalg.norm(v))
-
-    best_f, best_psi = -math.inf, starts[0]
-    for psi0 in starts:
-        f, psi = _ascend(a, msq, psi0, kind)
-        if f > best_f:
-            best_f, best_psi = f, psi
-    polished = _eigenspace_polish(a, y_star, lam1, kind, seed)
-    if polished is not None and polished[0] > best_f:
-        best_f, best_psi = polished
-    return max(best_f, 0.0), best_psi
+    res = radius(x, kind)
+    return res.primal_value, res.witness
 
 
 @dataclass(frozen=True)
@@ -283,23 +282,40 @@ class RadiusResult:
 
     @property
     def gap(self) -> float:
-        return abs(self.value**2 - self.primal_value)
+        """|value^2 - primal_value|, or inf once value^2 overflows."""
+        square = self.value * self.value
+        return abs(square - self.primal_value) if math.isfinite(square) else math.inf
 
 
 def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     """r_kind(X): minimize the spectral norm of the shifted modulus over
-    centers, certified by a matching pure-state variance witness."""
+    centers, certified by a pure-state variance witness.
+
+    The center minimizes lam_max(|X - y|_kind^2), a convex function of y
+    whose subgradient at y is 2 (y - <v, X v>) for a top eigenvector v; the
+    ellipsoid method solves it to 1e-14 relative.  ``primal_value`` is the
+    witness's variance, a lower bound on value^2, and ``gap`` is the
+    difference; both are inf above a radius of about 1.3e154, where the
+    square overflows.  Deterministic: ``restarts`` and ``seed`` are accepted
+    and ignored.  Raises ``ConvergenceError`` if the center search hits its
+    cap.
+    """
     a = require_square(x)
     _check_kind(kind)
-    d = a.shape[0]
     if _is_scalar_multiple_of_identity(a):
-        e1 = np.zeros(d, dtype=np.complex128)
-        e1[0] = 1.0
-        return RadiusResult(kind, complex(a[0, 0]), 0.0, 0.0, e1)
-    y_star, lam1 = _dual_center(a, kind)
-    primal, witness = max_variance(a, kind, restarts=restarts, seed=seed,
-                                   _dual=(y_star, lam1))
-    return RadiusResult(kind, y_star, math.sqrt(max(lam1, 0.0)), primal, witness)
+        return RadiusResult(kind, complex(a[0, 0]), 0.0, 0.0, np.eye(a.shape[0], dtype=np.complex128)[0])
+    shift, scale, b = _normalise(a)
+    msq = modulus_squared(b, kind)
+
+    def oracle(y: complex) -> tuple[float, complex]:
+        w, v = _shifted_eigh(b, msq, y)
+        top = v[:, -1]
+        return float(w[-1]), 2.0 * (y - complex(np.vdot(top, b @ top)))
+
+    y, lam = _minimise_2d(oracle, float(np.linalg.norm(b, 2)), rtol=1e-14)
+    primal, witness = _witness(b, msq, y)
+    return RadiusResult(kind, shift + scale * y, scale * math.sqrt(lam),
+                        scale * scale * max(primal, 0.0), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -325,99 +341,81 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
     point of W(X) on the supporting line.
     """
     a = require_square(x)
-    if k < 8:
-        raise ValueError(f"need at least 8 angles, got {k}")
+    _check_angles(k)
     theta = 2.0 * math.pi * np.arange(k) / k
-    phase = np.exp(1j * theta)
-    stack = 0.5 * (phase[:, None, None] * a[None] + np.conj(phase)[:, None, None] * a.conj().T[None])
-    vals, vecs = np.linalg.eigh(stack)
-    top = vecs[:, :, -1]
+    vals, top = _support(a, theta, vectors=True)
     boundary = np.einsum("ki,ij,kj->k", top.conj(), a, top)
-    return NumericalRangeSample(theta, vals[:, -1], boundary)
+    return NumericalRangeSample(theta, vals, boundary)
 
 
 def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     """Support-function membership test: z is in W(X) exactly when
     Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X))."""
     a = require_square(x)
-    if angles < 8:
-        raise ValueError(f"need at least 8 angles, got {angles}")
+    _check_angles(angles)
     theta = 2.0 * math.pi * np.arange(angles) / angles
-    phase = np.exp(1j * theta)
-    stack = 0.5 * (phase[:, None, None] * a[None] + np.conj(phase)[:, None, None] * a.conj().T[None])
-    support = np.linalg.eigvalsh(stack)[:, -1]
-    margin = float((support - (phase * complex(z)).real).min())
+    margin = float((_support(a, theta) - (np.exp(1j * theta) * complex(z)).real).min())
     return Membership(margin >= -1e-8, margin)
 
 
-def _h_single(a: np.ndarray, theta: float) -> float:
-    phase = np.exp(-1j * theta)
-    return _lam_max(0.5 * (phase * a + np.conj(phase) * a.conj().T))
-
-
 def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
-                  n_peaks: int, xatol: float) -> float:
-    """Sharpen the largest local maxima of theta -> h(theta) - Re(e^{-i theta} shift)."""
-    k = theta.size
-    best = float(g.max())
-    left = np.roll(g, 1)
-    right = np.roll(g, -1)
-    peaks = np.flatnonzero((g >= left) & (g >= right))
+                  n_peaks: int, xatol: float) -> tuple[float, float]:
+    """Sharpen the largest local maxima of theta -> h(theta) - Re(e^{i theta} shift);
+    return the largest value and its angle.
+
+    The function is the maximum over unit v of Re(e^{i theta} <v, (X - shift) v>),
+    curves whose second derivative is at most ||X - shift|| <= 2 max g in
+    size, so no angle beats the nearest grid point by more than ``slack``: a
+    peak of the grid values g that far below the best value cannot win and
+    is not refined.
+    """
+    spacing = 2.0 * math.pi / theta.size
+    best, best_t = float(g.max()), float(theta[np.argmax(g)])
+    slack = 0.5 * spacing**2 * best
+    peaks = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
     peaks = peaks[np.argsort(g[peaks])[::-1][:n_peaks]]
-    two_pi = 2.0 * math.pi
     for j in peaks:
-        lo = theta[j] - two_pi / k
-        hi = theta[j] + two_pi / k
+        if g[j] < best - slack:
+            break
 
         def neg(t: float) -> float:
-            return -(_h_single(a, t) - (np.exp(-1j * t) * shift).real)
+            return -(_support(a, t) - (np.exp(1j * t) * shift).real)
 
-        res = optimize.minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": xatol})
-        best = max(best, -float(res.fun))
-    return best
+        res = optimize.minimize_scalar(neg, bounds=(theta[j] - spacing, theta[j] + spacing),
+                                       method="bounded", options={"xatol": xatol})
+        if -float(res.fun) > best:
+            best, best_t = -float(res.fun), float(res.x)
+    return best, best_t
 
 
 def numerical_radius(x, grid: int = 360) -> float:
-    """w(X) = max_theta lam_max(Re(e^{-i theta} X)), grid plus local polish."""
+    """w(X) = max_theta lam_max(Re(e^{i theta} X)), grid plus local polish."""
     a = require_square(x)
-    if grid < 8:
-        raise ValueError(f"need at least 8 angles, got {grid}")
-    theta, vals = _support_grid(a, grid)
-    return _refine_peaks(a, theta, vals, 0j, n_peaks=3, xatol=1e-10)
+    _check_angles(grid)
+    theta = 2.0 * math.pi * np.arange(grid) / grid
+    return _refine_peaks(a, theta, _support(a, theta), 0j, n_peaks=3, xatol=1e-10)[0]
 
 
 def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z.
 
-    Started from the center of the smallest circle enclosing a dense
-    boundary sample of W(X), then polished by direct minimization of the
-    exact recentered numerical radius.
+    w(X - z) = max_theta h(theta) - Re(e^{i theta} z) is convex in z with
+    subgradient -e^{-i theta*} at the maximising angle theta*.  The support
+    values h are sampled once at ``boundary_k`` angles; each evaluation
+    refines the top peaks of the recentred grid, and the ellipsoid method
+    minimises over z.  Deterministic.
     """
     a = require_square(x)
+    _check_angles(boundary_k)
     if _is_scalar_multiple_of_identity(a):
         return complex(a[0, 0]), 0.0
-    sample = numerical_range(a, boundary_k)
-    circ = enclosing_circle(sample.boundary_points)
-    theta, h = _support_grid(a, boundary_k)
+    shift, scale, b = _normalise(a)
+    theta = 2.0 * math.pi * np.arange(boundary_k) / boundary_k
+    h, phase = _support(b, theta), np.exp(1j * theta)
 
-    def w_of(xy) -> float:
-        z = complex(xy[0], xy[1])
-        g = h - (np.exp(-1j * theta) * z).real
-        return _refine_peaks(a, theta, g, z, n_peaks=3, xatol=1e-7)
+    def oracle(z: complex) -> tuple[float, complex]:
+        val, t = _refine_peaks(b, theta, h - (phase * z).real, z, n_peaks=3, xatol=1e-7)
+        return val, -np.exp(-1j * t)
 
-    z0 = circ.center
-    spread = max(1e-3, 1e-3 * circ.radius)
-    simplex = np.array([[z0.real, z0.imag],
-                        [z0.real + spread, z0.imag],
-                        [z0.real, z0.imag + spread]])
-    res = optimize.minimize(w_of, [z0.real, z0.imag], method="Nelder-Mead",
-                            options={"xatol": 1e-9, "fatol": 1e-12,
-                                     "initial_simplex": simplex,
-                                     "maxiter": 600, "maxfev": 900})
-    z_best = complex(res.x[0], res.x[1])
-    val = float(res.fun)
-    start_val = w_of([z0.real, z0.imag])
-    if start_val < val:
-        z_best, val = z0, start_val
-    return z_best, val
+    z, val = _minimise_2d(oracle, float(np.linalg.norm(b, 2)), rtol=1e-11)
+    return shift + scale * z, scale * val

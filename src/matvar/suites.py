@@ -152,25 +152,23 @@ def _check_duality_gap(rng, dim_max, trial):
     d = _dim(rng, min(dim_max, 8), 2)
     x = ginibre(d, rng)
     kind = ("L", "R", "C")[trial % 3]
-    res = radius(x, kind, restarts=6, seed=int(rng.integers(2 ** 32)))
+    res = radius(x, kind)
     return -res.gap / (1.0 + res.value ** 2), f"kind={kind} d={d}"
 
 
 def _check_left_right_equal(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
-    seed = int(rng.integers(2 ** 32))
-    r_l = radius(x, "L", restarts=6, seed=seed).value
-    r_r = radius(x, "R", restarts=6, seed=seed + 1).value
+    r_l = radius(x, "L").value
+    r_r = radius(x, "R").value
     return -abs(r_l - r_r), None
 
 
 def _check_central_below_left(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
-    seed = int(rng.integers(2 ** 32))
-    r_l = radius(x, "L", restarts=6, seed=seed).value
-    r_c = radius(x, "C", restarts=6, seed=seed + 1).value
+    r_l = radius(x, "L").value
+    r_c = radius(x, "C").value
     return r_l - r_c, None
 
 
@@ -178,7 +176,7 @@ def _check_normal_spectrum_radius(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = random_normal_matrix(d, rng)
     kind = ("L", "R", "C")[trial % 3]
-    r = radius(x, kind, restarts=6, seed=int(rng.integers(2 ** 32))).value
+    r = radius(x, kind).value
     return -abs(r - enclosing_circle(np.linalg.eigvals(x)).radius), f"kind={kind}"
 
 
@@ -206,9 +204,8 @@ def _check_shift_covariance(rng, dim_max, trial):
     x = ginibre(d, rng)
     z = complex(rng.normal(), rng.normal())
     kind = ("L", "R", "C")[trial % 3]
-    seed = int(rng.integers(2 ** 32))
-    r0 = radius(x, kind, restarts=6, seed=seed).value
-    r1 = radius(x + z * np.eye(d), kind, restarts=6, seed=seed + 1).value
+    r0 = radius(x, kind).value
+    r1 = radius(x + z * np.eye(d), kind).value
     return -abs(r0 - r1), f"kind={kind}"
 
 
@@ -216,7 +213,7 @@ def _check_center_in_range(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
     kind = ("L", "R", "C")[trial % 3]
-    res = radius(x, kind, restarts=6, seed=int(rng.integers(2 ** 32)))
+    res = radius(x, kind)
     return membership_in_range(x, res.y_star).margin, f"kind={kind}"
 
 
@@ -231,7 +228,7 @@ def _check_wradius_below_cradius(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
     _, r_w = central_numerical_radius(x)
-    r_c = radius(x, "C", restarts=6, seed=int(rng.integers(2 ** 32))).value
+    r_c = radius(x, "C").value
     return r_c - r_w, None
 
 
@@ -242,7 +239,7 @@ def _check_kyfan2_claim_scan(rng, dim_max, trial):
     # witness (worst_slack = -excess of the strongest counterexample).
     d = _dim(rng, max(dim_max, 3), 3)
     x = ginibre(d, rng)
-    r_c = radius(x, "C", restarts=6, seed=int(rng.integers(2 ** 32))).value
+    r_c = radius(x, "C").value
     excess = r_c - 0.5 * norm(x, NormSpec.kyfanpk(2, 2))
     if excess > 1e-9:
         return -excess, f"counterexample at d={d}, excess={excess:.3e}"

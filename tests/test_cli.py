@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import matvar.cli
 from matvar.cli import (
     load_matrix,
     main,
@@ -17,6 +18,7 @@ from matvar.cli import (
     save_matrix,
 )
 from matvar.linalg import ginibre
+from matvar.radii import ConvergenceError
 
 
 @pytest.fixture()
@@ -211,6 +213,20 @@ def test_cli_flag_errors(fixtures, capsys):
     rc = main(["compute", "norm", "--input", "/nonexistent.json",
                "--spec", "schatten:2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("exc", [ConvergenceError("center search hit its cap"),
+                                 OverflowError("result out of range"),
+                                 np.linalg.LinAlgError("eigh did not converge")])
+def test_numerical_failures_exit_with_code_two(fixtures, capsys, monkeypatch, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(matvar.cli, "radius", failing)
+    rc = main(["compute", "radius", "--input", str(fixtures / "e12.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
 
 
 def test_python_dash_m_entrypoint(fixtures):

@@ -17,7 +17,8 @@ E12 = linalg.basis_matrix(1, 2, 2)
 
 
 def _second_moment_about(x, rho, c, kind):
-    m = radii._shifted_modulus_sq(np.asarray(x, dtype=complex), c, kind)
+    d = np.shape(x)[0]
+    m = linalg.modulus_squared(x - c * np.eye(d), kind)
     return float(np.trace(rho @ m).real)
 
 
@@ -165,6 +166,95 @@ def test_radius_of_normal_matrix_is_spectral_enclosing_radius():
             res = radii.radius(x, kind, seed=trial)
             assert_allclose(res.value, circ.radius, atol=1e-7 * (1 + circ.radius))
             assert abs(res.y_star - circ.center) <= 1e-5 * (1 + circ.radius)
+            # the top eigenspace is degenerate here, so this checks the
+            # inverse field-of-values witness
+            assert res.gap / res.value**2 <= 1e-12
+
+
+SCALES = (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12)
+
+
+def _scale_sweep_inputs():
+    rng = np.random.default_rng(415)
+    return [linalg.ginibre(4, rng), linalg.random_normal_matrix(4, rng)]
+
+
+def test_radius_scale_sweep():
+    # r(cX) = c r(X) to relative accuracy, far from unit scale
+    for x in _scale_sweep_inputs():
+        for kind in "LRC":
+            base = radii.radius(x, kind).value
+            for c in SCALES:
+                res = radii.radius(c * x, kind)
+                assert abs(res.value / (c * base) - 1.0) <= 1e-10
+                assert res.gap / res.value**2 <= 1e-10
+            for c in (1e150, 1e200):
+                huge = radii.radius(c * x, kind)
+                assert abs(huge.value / (c * base) - 1.0) <= 1e-10
+
+
+def test_central_numerical_radius_scale_sweep():
+    for x in _scale_sweep_inputs():
+        _, base = radii.central_numerical_radius(x)
+        for c in SCALES:
+            _, val = radii.central_numerical_radius(c * x)
+            assert abs(val / (c * base) - 1.0) <= 1e-10
+
+
+def test_radius_witness_on_nearly_normal_matrices():
+    # N + eps G has a smooth optimum whose top eigenvalue is split by about
+    # eps: the eigenvector at the ellipsoid's center misses by about
+    # 1e-14 / eps, and a degenerate-eigenspace vector by about eps
+    rng = np.random.default_rng(419)
+    for d in (2, 3, 4, 8):
+        n, g = linalg.random_normal_matrix(d, rng), linalg.ginibre(d, rng)
+        for eps in (1e-10, 1e-8, 1e-6):
+            for kind in "LRC":
+                res = radii.radius(n + eps * g, kind)
+                assert res.gap / res.value**2 <= 1e-12
+
+
+def test_radius_ignores_restarts_and_seed():
+    rng = np.random.default_rng(416)
+    for x in (linalg.ginibre(5, rng), linalg.random_normal_matrix(5, rng)):
+        for kind in "LRC":
+            a = radii.radius(x, kind)
+            b = radii.radius(x, kind, restarts=1, seed=99)
+            assert (a.value, a.y_star, a.primal_value) == (b.value, b.y_star, b.primal_value)
+            assert np.array_equal(a.witness, b.witness)
+
+
+def test_inverse_field_value_hits_interior_and_boundary_targets():
+    # the witness construction for a degenerate top eigenspace: any point of
+    # W(B), on its boundary too, is the expectation of the returned vector
+    for trial in range(60):
+        rng = np.random.default_rng([417, trial])
+        m = int(rng.integers(2, 6))
+        b = (linalg.ginibre(m, rng), linalg.random_normal_matrix(m, rng),
+             linalg.random_hermitian(m, rng))[trial % 3]
+        u0 = linalg.random_unit_vector(m, rng)
+        _, edge = radii._support(b, rng.uniform(0.0, 2.0 * math.pi), vectors=True)
+        for y in (np.vdot(u0, b @ u0), np.vdot(edge, b @ edge), np.linalg.eigvals(b)[0]):
+            u = radii._inverse_field_value(b, complex(y))
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert abs(np.vdot(u, b @ u) - y) <= 1e-12 * np.abs(b).max()
+    # a vertex of W(B) whose normal cone misses the first eight directions
+    b = np.exp(1j * math.pi / 8) * np.diag([1.0, -1.0, 0.05j])
+    u = radii._inverse_field_value(b, complex(b[2, 2]))
+    assert abs(np.vdot(u, b @ u) - b[2, 2]) <= 1e-12
+
+
+def test_segment_hit_with_nearly_parallel_ends():
+    rng = np.random.default_rng(418)
+    b = linalg.ginibre(3, rng)
+    xa = linalg.random_unit_vector(3, rng)
+    w = linalg.random_unit_vector(3, rng)
+    for psi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+        xb = np.exp(1j * psi) * xa + 1e-8 * w
+        xb /= np.linalg.norm(xb)
+        q = 0.5 * (np.vdot(xa, b @ xa) + np.vdot(xb, b @ xb))
+        u = radii._segment_hit(b, xa, xb, q)
+        assert abs(np.vdot(u, b @ u) - q) <= 1e-12
 
 
 def test_optimal_center_lies_in_numerical_range():
