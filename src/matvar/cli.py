@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .commutators import evaluate_bounds, search_constant
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
-from .norms import NormSpec, norm
+from .norms import NormSpec, _as_p, norm
 from .radii import (
     ConvergenceError,
     central_numerical_radius,
@@ -101,17 +102,14 @@ def _exp_repr(p: float):
 # argument parsing helpers
 
 
-def _exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number >= 1 or 'inf', got {text!r}") from None
-    if math.isnan(v) or v < 1.0:
-        raise argparse.ArgumentTypeError(f"exponent must be >= 1, got {text!r}")
-    return v
+def _exponent(name: str):
+    """argparse type of the Schatten exponent flag --name."""
+    def parse(text: str) -> float:
+        try:
+            return _as_p(text, name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _complex_pair(text: str) -> complex:
@@ -181,9 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cb = csub.add_parser("commutator-bounds", help="evaluate commutator norm bounds on a pair")
     p_cb.add_argument("--x", required=True, help="matrix JSON file for X")
     p_cb.add_argument("--y", required=True, help="matrix JSON file for Y")
-    p_cb.add_argument("--p", type=_exponent, required=True)
-    p_cb.add_argument("--q", type=_exponent, required=True)
-    p_cb.add_argument("--r", type=_exponent, required=True)
+    for name in "pqr":
+        p_cb.add_argument(f"--{name}", type=_exponent(name), required=True)
     p_cb.add_argument("--json", action="store_true")
     p_cb.add_argument("--tol", type=float, default=1e-9)
 
@@ -197,9 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true", help="print the JSON report instead of lines")
 
     search = sub.add_parser("search", help="randomized search for the best commutator constant")
-    search.add_argument("--p", type=_exponent, required=True)
-    search.add_argument("--q", type=_exponent, required=True)
-    search.add_argument("--r", type=_exponent, required=True)
+    for name in "pqr":
+        search.add_argument(f"--{name}", type=_exponent(name), required=True)
     search.add_argument("--dims", type=_dims_list, default=(2, 3))
     search.add_argument("--trials", type=int, default=1000)
     search.add_argument("--seed", type=int, default=0)
@@ -414,26 +410,27 @@ _DISPATCH = {
     "numrange": _cmd_numrange,
     "wradius": _cmd_wradius,
     "commutator-bounds": _cmd_commutator_bounds,
+    "verify": _cmd_verify,
+    "search": _cmd_search,
+    "examples": _cmd_examples,
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            return _DISPATCH[args.quantity](args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "examples":
-            return _cmd_examples(args)
+        code = _DISPATCH[args.quantity if args.command == "compute" else args.command](args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, ConvergenceError, OverflowError) as exc:
         # ValueError covers np.linalg.LinAlgError; exit code 1 is reserved
         # for verify runs whose checks failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return code
 
 
 if __name__ == "__main__":

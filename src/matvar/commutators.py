@@ -27,7 +27,7 @@ from .linalg import (
     random_normal_matrix,
     require_square,
 )
-from .norms import NormSpec, norm
+from .norms import NormSpec, _as_p, norm
 from .radii import quantum_variance, radius
 
 __all__ = [
@@ -49,11 +49,13 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _check_exponent(name: str, value: float) -> float:
-    v = float(value)
-    if math.isnan(v) or v < 1.0:
-        raise ValueError(f"exponent {name} must satisfy {name} >= 1, got {value!r}")
-    return v
+def _holder_exponents(p, q, r) -> tuple[float, float, float]:
+    """Schatten exponents p, q, r >= 1 with 1/p <= 1/q + 1/r."""
+    p, q, r = _as_p(p), _as_p(q, "q"), _as_p(r, "r")
+    if _inv(p) > _inv(q) + _inv(r) + 1e-12:
+        raise ValueError(
+            f"exponents must satisfy 1/p <= 1/q + 1/r, got 1/{p:g} > 1/{q:g} + 1/{r:g}")
+    return p, q, r
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -131,12 +133,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     and the normal-Y strengthening (p = 2, Y normal).
     """
     a, b = _pair(x, y)
-    p = _check_exponent("p", p)
-    q = _check_exponent("q", q)
-    r = _check_exponent("r", r)
-    if _inv(p) > _inv(q) + _inv(r) + 1e-12:
-        raise ValueError(
-            f"exponents must satisfy 1/p <= 1/q + 1/r, got 1/{p:g} > 1/{q:g} + 1/{r:g}")
+    p, q, r = _holder_exponents(p, q, r)
 
     comm = a @ b - b @ a
     lhs = norm(comm, NormSpec.schatten(p))
@@ -197,10 +194,7 @@ def witness_families(p: float, q: float, r: float) -> list[WitnessFamily]:
     ladder pair gives 2^{1/p}, and a rank-one contraction paired with a
     unitary gives 2^{1-1/r} (and 2^{1-1/q} with the roles swapped).
     """
-    p = _check_exponent("p", p)
-    q = _check_exponent("q", q)
-    r = _check_exponent("r", r)
-    ip, iq, ir = _inv(p), _inv(q), _inv(r)
+    ip, iq, ir = _inv(_as_p(p)), _inv(_as_p(q, "q")), _inv(_as_p(r, "r"))
     x3, y3 = _item3_pair()
     return [
         WitnessFamily("pauli_pair", PAULI_X.copy(), PAULI_Z.copy(),
@@ -258,12 +252,7 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
     trials).  A ratio beating the conjectured constant by more than 1e-6
     is flagged as a falsification candidate, never clamped.
     """
-    p = _check_exponent("p", p)
-    q = _check_exponent("q", q)
-    r = _check_exponent("r", r)
-    if _inv(p) > _inv(q) + _inv(r) + 1e-12:
-        raise ValueError(
-            f"exponents must satisfy 1/p <= 1/q + 1/r, got 1/{p:g} > 1/{q:g} + 1/{r:g}")
+    p, q, r = _holder_exponents(p, q, r)
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ValueError(f"dims must be integers >= 2, got {dims!r}")

@@ -24,14 +24,15 @@ from .linalg import as_matrix, f_matrix, singular_values
 __all__ = ["NormSpec", "norm", "vector_norm", "f_ratio_bounds"]
 
 
-def _as_p(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity", "oo"):
-            return math.inf
-        value = float(value)
-    p = float(value)
+def _as_p(value, name: str = "p") -> float:
+    """A Schatten exponent >= 1 from a number or a string; "inf",
+    "infinity" and "oo" (any case) mean infinity."""
+    try:
+        p = math.inf if str(value).strip().lower() == "oo" else float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a number >= 1 or 'inf' for {name}, got {value!r}") from None
     if math.isnan(p) or p < 1.0:
-        raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p!r}")
+        raise ValueError(f"Schatten exponent must satisfy {name} >= 1, got {value!r}")
     return p
 
 

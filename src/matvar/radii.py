@@ -16,15 +16,16 @@ angle the top eigenpair of the Hermitian part of a rotated copy of X yields
 one supporting half plane and one boundary point.
 
 Both ``radius`` and ``central_numerical_radius`` minimise a convex function
-of one complex center with an exact subgradient, and both use the same
-deterministic central-cut ellipsoid method, which stops on a relative
-certificate (best value minus lower bound).  Inputs are shifted by trace/d
-and scaled by their largest entry first, and the outputs are mapped back, so
-the relative accuracy does not depend on the scale of X.  ``radius`` certifies
-its value with an explicit pure-state witness: ``primal_value`` is the
-witness's variance and ``gap`` the distance to the squared radius.  Nothing
-here draws random numbers; the ``restarts`` and ``seed`` arguments of
-``radius`` are accepted and ignored.
+of one complex center with an exact subgradient, by the deterministic
+central-cut ellipsoid method of ``geometry`` (``two_largest_radius`` uses it
+too), which stops on a relative certificate (best value minus lower bound).
+Support peaks are polished by secant steps on their exact slope.  Inputs
+are shifted by trace/d and scaled by their largest entry first, and the
+outputs are mapped back, so the relative accuracy does not depend on the
+scale of X.  ``radius`` certifies its value with an explicit pure-state
+witness: ``primal_value`` is the witness's variance and ``gap`` the
+distance to the squared radius.  Nothing here draws random numbers; the
+``restarts`` and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
+from .geometry import ConvergenceError, _minimise_2d
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -51,10 +52,6 @@ __all__ = [
     "central_numerical_radius",
     "membership_in_range",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the center minimization reaches its iteration cap."""
 
 
 def _check_kind(kind: str) -> str:
@@ -85,7 +82,7 @@ def quantum_variance(x, rho, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery: normalisation, support function, 2-D minimiser
+# shared machinery: normalisation, support function
 
 
 def _is_scalar_multiple_of_identity(a: np.ndarray) -> bool:
@@ -112,38 +109,6 @@ def _support(a: np.ndarray, theta, vectors: bool = False):
         return np.linalg.eigvalsh(stack)[..., -1]
     w, v = np.linalg.eigh(stack)
     return w[..., -1], v[..., -1]
-
-
-def _minimise_2d(oracle, r0: float, rtol: float, max_steps: int = 1000) -> tuple[complex, float]:
-    """Central-cut ellipsoid method for a convex f on the complex plane.
-
-    ``oracle(z)`` returns f(z) and a subgradient g (as a complex number); a
-    minimiser must lie in the disc |z| <= r0.  The ellipsoid
-    {z : (z - c)^T P^-1 (z - c) <= 1} holds every minimiser; each step keeps
-    the half that g points away from, and f(c) - sqrt(g^T P g) bounds min f
-    from below.  Stops once the best value is within rtol of that bound,
-    relatively, or once g^T P g = 0 (the ellipsoid has collapsed onto a
-    minimiser).  rtol = 1e-14 takes 100 to 260 steps on matrices up to
-    d = 64.
-    """
-    c, p11, p12, p22 = 0j, r0 * r0, 0.0, r0 * r0
-    best_z, best_f, lower = c, math.inf, -math.inf
-    for _ in range(max_steps):
-        f, g = oracle(c)
-        if f < best_f:
-            best_z, best_f = c, f
-        px, py = p11 * g.real + p12 * g.imag, p12 * g.real + p22 * g.imag
-        gpg = g.real * px + g.imag * py
-        lower = max(lower, f - math.sqrt(max(gpg, 0.0)))
-        if best_f - lower <= rtol * best_f or gpg <= 0.0:
-            return best_z, best_f
-        px, py = px / math.sqrt(gpg), py / math.sqrt(gpg)
-        c -= complex(px, py) / 3.0
-        p11, p12, p22 = (4.0 / 3.0 * (p11 - 2.0 / 3.0 * px * px),
-                         4.0 / 3.0 * (p12 - 2.0 / 3.0 * px * py),
-                         4.0 / 3.0 * (p22 - 2.0 / 3.0 * py * py))
-    raise ConvergenceError(f"center search hit its {max_steps}-step cap; "
-                           f"best {best_f!r}, lower bound {lower!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +315,14 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
 
 def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     """Support-function membership test: z is in W(X) exactly when
-    Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X))."""
+    Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)).  The margin may
+    fall short of 0 by 1e-8 times the largest |lam_max|."""
     a = require_square(x)
     _check_angles(angles)
     theta = 2.0 * math.pi * np.arange(angles) / angles
-    margin = float((_support(a, theta) - (np.exp(1j * theta) * complex(z)).real).min())
-    return Membership(margin >= -1e-8, margin)
+    h = _support(a, theta)
+    margin = float((h - (np.exp(1j * theta) * complex(z)).real).min())
+    return Membership(margin >= -1e-8 * float(np.abs(h).max()), margin)
 
 
 def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
@@ -367,7 +334,12 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
     curves whose second derivative is at most ||X - shift|| <= 2 max g in
     size, so no angle beats the nearest grid point by more than ``slack``: a
     peak of the grid values g that far below the best value cannot win and
-    is not refined.
+    is not refined.  For a top eigenvector v and w = e^{i theta}
+    (<v, X v> - shift), the value is Re w and the slope -Im w
+    (Hellmann-Feynman).  Each peak is polished by secant steps on the slope,
+    within one grid spacing of it, until a step is below ``xatol``; the
+    first step, theta - arg w, is exact where the boundary point <v, X v>
+    stays put (a corner of W(X)).
     """
     spacing = 2.0 * math.pi / theta.size
     best, best_t = float(g.max()), float(theta[np.argmax(g)])
@@ -377,14 +349,20 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
     for j in peaks:
         if g[j] < best - slack:
             break
-
-        def neg(t: float) -> float:
-            return -(_support(a, t) - (np.exp(1j * t) * shift).real)
-
-        res = optimize.minimize_scalar(neg, bounds=(theta[j] - spacing, theta[j] + spacing),
-                                       method="bounded", options={"xatol": xatol})
-        if -float(res.fun) > best:
-            best, best_t = -float(res.fun), float(res.x)
+        t, last = float(theta[j]), None
+        for _ in range(32):
+            v = _support(a, t, vectors=True)[1]
+            w = np.exp(1j * t) * (complex(np.vdot(v, a @ v)) - shift)
+            if w.real > best:
+                best, best_t = float(w.real), t
+            if last is None or w.imag == last[1]:
+                step = -math.atan2(w.imag, w.real)
+            else:  # the root of the slope -Im w is the root of Im w
+                step = -w.imag * (t - last[0]) / (w.imag - last[1])
+            last = (t, w.imag)
+            t = min(max(t + step, theta[j] - spacing), theta[j] + spacing)
+            if abs(t - last[0]) <= xatol:
+                break
     return best, best_t
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -236,3 +237,27 @@ def test_python_dash_m_entrypoint(fixtures):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_closed_pipe_exits_quietly_with_code_two(fixtures):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matvar", "compute", "radius", "--json",
+             "--input", str(fixtures / "f4.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 2
+
+
+def test_verify_all_runs_without_scipy():
+    # a None entry in sys.modules makes every import of scipy fail
+    code = ("import sys; sys.modules['scipy'] = None; import matvar.cli; "
+            "sys.exit(matvar.cli.main(['verify', '--suite', 'all', '--trials', '2', "
+            "'--dim-max', '4']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

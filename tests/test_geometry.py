@@ -213,6 +213,10 @@ def test_two_largest_radius_examples():
     ref = enclosing_circle([0.0, 1.0, 1j])
     assert_allclose(val, ref.radius, atol=1e-8)
     assert abs(z - ref.center) <= 1e-5
+    # scale covariance where squared distances underflow or overflow
+    for c in (1e-200, 1e200):
+        z, val = two_largest_radius(c * np.array([0.0, 1.0, 1j]), 1.0)
+        assert abs(val / c - ref.radius) <= 1e-12 * ref.radius
     with pytest.raises(ValueError, match=">= 1"):
         two_largest_radius([0.0, 1.0], 0.5)
     with pytest.raises(ValueError, match="two"):
@@ -225,7 +229,7 @@ def test_two_largest_radius_equals_enclosing_radius():
         n = int(rng.integers(2, 13))
         pts = linalg.random_point_set(n, rng)
         circ = enclosing_circle(pts)
-        for p in (1.0, 2.0, 4.0):
+        for p in (1.0, 2.0, 4.0, math.inf):
             z, val = two_largest_radius(pts, p)
             assert abs(val - circ.radius) <= 1e-7 * (1 + circ.radius)
         # plain radius never beats the two-point mean at the origin probe

@@ -331,6 +331,17 @@ def test_numerical_radius_bounds():
         assert w <= cnorm + 1e-9 * (1 + cnorm)
 
 
+def test_numerical_radius_of_jordan_blocks():
+    # W(J_d) is the disc of radius cos(pi / (d + 1)) about 0: the support
+    # function is flat, so the peak polish sees a zero slope at every angle
+    for d in (2, 3, 5, 8):
+        jordan = np.eye(d, k=1, dtype=np.complex128)
+        assert abs(radii.numerical_radius(jordan) - math.cos(math.pi / (d + 1))) <= 1e-12
+        z, w = radii.central_numerical_radius(jordan)
+        assert z == 0j
+        assert abs(w - math.cos(math.pi / (d + 1))) <= 1e-12
+
+
 def test_square_root_trace_concavity():
     # sqrt((Tr rho A)^2 + (Tr rho B)^2) <= Tr[rho sqrt(A^2 + B^2)]
     for trial in range(40):
@@ -376,6 +387,9 @@ def test_membership_examples():
     res = radii.membership_in_range(linalg.PAULI_Z, 2.0)
     assert not res.member
     assert_allclose(res.margin, -1.0, atol=1e-9)
+    # the margin's allowance scales with X: W(1e-9 Z) is [-1e-9, 1e-9]
+    assert not radii.membership_in_range(1e-9 * linalg.PAULI_Z, 5e-9).member
+    assert radii.membership_in_range(1e-9 * linalg.PAULI_Z, 5e-10).member
     # diagonal entries always belong to the numerical range
     for trial in range(20):
         rng = np.random.default_rng([413, trial])
