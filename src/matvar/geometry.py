@@ -151,39 +151,52 @@ def _circle_one_fixed(pts: np.ndarray, p: complex) -> Circle:
 
 def enclosing_circle(points) -> Circle:
     """Smallest circle containing all points (unique; found in randomized
-    incremental fashion but with a fixed shuffle so calls are deterministic)."""
+    incremental fashion but with a fixed shuffle so calls are deterministic).
+
+    The search runs on the points centred on their centroid and divided by
+    their largest distance from it, so its slacks are relative and no square
+    underflows or overflows: the result is scale-covariant."""
     pts = _as_points(points)
+    centroid = complex(pts.mean())
+    scale = float(np.abs(pts - centroid).max())
+    if scale == 0.0:
+        return Circle(complex(pts[0]), 0.0)
     order = np.random.default_rng(_SHUFFLE_SEED).permutation(pts.size)
-    shuffled = pts[order]
+    shuffled = (pts[order] - centroid) / scale
     c = Circle(complex(shuffled[0]), 0.0)
     for i, p in enumerate(shuffled):
         if not _inside(p, c):
             c = _circle_one_fixed(shuffled[:i], complex(p))
     # report the exact covering radius of the computed center
-    return Circle(c.center, float(np.abs(pts - c.center).max()))
+    center = centroid + scale * c.center
+    return Circle(center, float(np.abs(pts - center).max()))
 
 
 def boundary_support(points, circle: Circle, tol: float = 1e-9) -> np.ndarray:
-    """Indices of points within tol (relative) of the circle boundary."""
+    """Indices of points within tol (relative to the radius) of the circle
+    boundary."""
     pts = _as_points(points)
-    scale = 1.0 + circle.radius
-    return np.flatnonzero(np.abs(np.abs(pts - circle.center) - circle.radius) <= tol * scale)
+    return np.flatnonzero(np.abs(np.abs(pts - circle.center) - circle.radius) <= tol * circle.radius)
 
 
 # ---------------------------------------------------------------------------
 # max-variance distribution
 
 
-def _pair_weights(points: np.ndarray, idx: np.ndarray, c: complex, tol: float):
+# Both weight searches take the points relative to the circle center, in
+# units of its radius: the chosen points must have the origin as their mean.
+
+
+def _pair_weights(points: np.ndarray, idx: np.ndarray, tol: float):
     for ii in range(idx.size):
         for jj in range(ii + 1, idx.size):
             a, b = points[idx[ii]], points[idx[jj]]
-            if abs(a + b - 2.0 * c) <= tol:
+            if abs(a + b) <= tol:
                 return [(idx[ii], 0.5), (idx[jj], 0.5)]
     return None
 
 
-def _triple_weights(points: np.ndarray, idx: np.ndarray, c: complex, tol: float):
+def _triple_weights(points: np.ndarray, idx: np.ndarray, tol: float):
     for ii in range(idx.size):
         for jj in range(ii + 1, idx.size):
             for kk in range(jj + 1, idx.size):
@@ -192,7 +205,7 @@ def _triple_weights(points: np.ndarray, idx: np.ndarray, c: complex, tol: float)
                 det = u.real * v.imag - u.imag * v.real
                 if abs(det) <= 1e-14 * (1.0 + abs(u)) * (1.0 + abs(v)):
                     continue
-                w = c - a
+                w = -a
                 s = (w.real * v.imag - w.imag * v.real) / det
                 t = (u.real * w.imag - u.imag * w.real) / det
                 lams = np.array([1.0 - s - t, s, t])
@@ -215,21 +228,22 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     if n == 1:
         return np.array([1.0]), 0.0
     circ = enclosing_circle(pts)
-    if circ.radius <= 1e-15 * (1.0 + abs(circ.center)):
+    if circ.radius <= 1e-15 * float(np.abs(pts).max()):
         out = np.zeros(n)
         out[0] = 1.0
         return out, 0.0
     probs = np.zeros(n)
-    tol = 1e-9 * (1.0 + circ.radius)
+    rel = (pts - circ.center) / circ.radius
     for widen in range(4):
-        idx = boundary_support(pts, circ, tol=1e-9 * 10.0**widen)
-        chosen = _pair_weights(pts, idx, circ.center, tol * 10.0**widen)
+        tol = 1e-9 * 10.0**widen
+        idx = boundary_support(pts, circ, tol=tol)
+        chosen = _pair_weights(rel, idx, tol)
         if chosen is None:
-            chosen = _triple_weights(pts, idx, circ.center, tol * 10.0**widen)
+            chosen = _triple_weights(rel, idx, tol)
         if chosen is not None:
             for i, w in chosen:
                 probs[i] = w
-            return probs, circ.radius**2
+            return probs, circ.radius * circ.radius
     raise RuntimeError("could not locate a boundary distribution with the circle center as mean")
 
 

@@ -19,7 +19,8 @@ Both ``radius`` and ``central_numerical_radius`` minimise a convex function
 of one complex center with an exact subgradient, by the deterministic
 central-cut ellipsoid method of ``geometry`` (``two_largest_radius`` uses it
 too), which stops on a relative certificate (best value minus lower bound).
-Support peaks are polished by secant steps on their exact slope.  Inputs
+Support peaks are polished by secant steps on their exact slope, warm
+started across centers from boundary points found earlier.  Inputs
 are shifted by trace/d and scaled by their largest entry first, and the
 outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
@@ -326,7 +327,7 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
 
 
 def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
-                  n_peaks: int, xatol: float) -> tuple[float, float]:
+                  n_peaks: int, xatol: float, seen: dict) -> tuple[float, float]:
     """Sharpen the largest local maxima of theta -> h(theta) - Re(e^{i theta} shift);
     return the largest value and its angle.
 
@@ -340,19 +341,32 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
     within one grid spacing of it, until a step is below ``xatol``; the
     first step, theta - arg w, is exact where the boundary point <v, X v>
     stays put (a corner of W(X)).
+
+    ``seen`` maps a grid peak index to the last two (angle, <v, X v>) pairs
+    evaluated for it, and is updated.  The boundary point <v, X v> does not
+    depend on ``shift``, so a cached pair gives the exact value and slope at
+    any shift without an eigensolve: the polish replays the cached pairs
+    first, counts their values, and evaluates only the angles after them.
     """
     spacing = 2.0 * math.pi / theta.size
     best, best_t = float(g.max()), float(theta[np.argmax(g)])
     slack = 0.5 * spacing**2 * best
-    peaks = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
+    ring = np.concatenate((g[-1:], g, g[:1]))
+    peaks = np.flatnonzero((g >= ring[:-2]) & (g >= ring[2:]))
     peaks = peaks[np.argsort(g[peaks])[::-1][:n_peaks]]
     for j in peaks:
         if g[j] < best - slack:
             break
+        pairs = list(seen.get(j, ()))
         t, last = float(theta[j]), None
-        for _ in range(32):
-            v = _support(a, t, vectors=True)[1]
-            w = np.exp(1j * t) * (complex(np.vdot(v, a @ v)) - shift)
+        for n in range(32):
+            if n < len(pairs):
+                t, p = pairs[n]
+            else:
+                v = _support(a, t, vectors=True)[1]
+                p = complex(np.vdot(v, a @ v))
+                pairs.append((t, p))
+            w = np.exp(1j * t) * (p - shift)
             if w.real > best:
                 best, best_t = float(w.real), t
             if last is None or w.imag == last[1]:
@@ -361,8 +375,9 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
                 step = -w.imag * (t - last[0]) / (w.imag - last[1])
             last = (t, w.imag)
             t = min(max(t + step, theta[j] - spacing), theta[j] + spacing)
-            if abs(t - last[0]) <= xatol:
+            if n + 1 >= len(pairs) and abs(t - last[0]) <= xatol:
                 break
+        seen[j] = pairs[-2:]
     return best, best_t
 
 
@@ -371,7 +386,7 @@ def numerical_radius(x, grid: int = 360) -> float:
     a = require_square(x)
     _check_angles(grid)
     theta = 2.0 * math.pi * np.arange(grid) / grid
-    return _refine_peaks(a, theta, _support(a, theta), 0j, n_peaks=3, xatol=1e-10)[0]
+    return _refine_peaks(a, theta, _support(a, theta), 0j, n_peaks=3, xatol=1e-10, seen={})[0]
 
 
 def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]:
@@ -381,7 +396,11 @@ def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]
     subgradient -e^{-i theta*} at the maximising angle theta*.  The support
     values h are sampled once at ``boundary_k`` angles; each evaluation
     refines the top peaks of the recentred grid, and the ellipsoid method
-    minimises over z.  Deterministic.
+    minimises over z.  The boundary points <v, X v> found by the polish do
+    not depend on z, so they are kept for the whole call: at the next z
+    each peak's polish starts from its last two, whose values and slopes are
+    exact there, and solves eigenproblems only for new angles.
+    Deterministic.
     """
     a = require_square(x)
     _check_angles(boundary_k)
@@ -390,9 +409,10 @@ def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]
     shift, scale, b = _normalise(a)
     theta = 2.0 * math.pi * np.arange(boundary_k) / boundary_k
     h, phase = _support(b, theta), np.exp(1j * theta)
+    seen: dict = {}
 
     def oracle(z: complex) -> tuple[float, complex]:
-        val, t = _refine_peaks(b, theta, h - (phase * z).real, z, n_peaks=3, xatol=1e-7)
+        val, t = _refine_peaks(b, theta, h - (phase * z).real, z, n_peaks=3, xatol=1e-7, seen=seen)
         return val, -np.exp(-1j * t)
 
     z, val = _minimise_2d(oracle, float(np.linalg.norm(b, 2)), rtol=1e-11)

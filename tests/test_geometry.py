@@ -206,6 +206,21 @@ def test_max_variance_properties():
             assert variance(pts, q) <= val + 1e-9 * scale**2
 
 
+def test_enclosing_circle_and_max_variance_are_scale_covariant():
+    # no slack is absolute and no square underflows or overflows: the
+    # circle and the maximizing distribution follow the points from 1e-300
+    # to 1e300
+    for trial in range(20):
+        rng = np.random.default_rng([307, trial])
+        pts = linalg.random_point_set(int(rng.integers(3, 12)), rng)
+        base = enclosing_circle(pts).radius
+        probs, _ = max_variance_distribution(pts)
+        for c in (1e-300, 1e-100, 1e-14, 1e100, 1e154, 1e200, 1e300):
+            assert abs(enclosing_circle(c * pts).radius / c - base) <= 1e-12 * base
+            scaled, _ = max_variance_distribution(c * pts)
+            assert np.abs(scaled - probs).max() <= 1e-9
+
+
 def test_two_largest_radius_examples():
     z, val = two_largest_radius([0.0, 1.0], 2.0)
     assert_allclose([z.real, z.imag, val], [0.5, 0.0, 0.5], atol=1e-7)

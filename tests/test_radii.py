@@ -381,6 +381,39 @@ def test_central_numerical_radius_below_cartesian_radius():
         assert rw <= radii.numerical_radius(x) + 1e-9
 
 
+def test_central_numerical_radius_certificate():
+    # the returned value is w(X - z) itself, recomputed independently on a
+    # fine grid, and repeatable bit for bit.  It is never above the Cartesian
+    # radius by more than the ellipsoid's stopping tolerance, 1e-11 relative:
+    # for a normal X both are the radius of the eigenvalues' enclosing circle
+    for d in (2, 3, 4, 8, 16):
+        for make in (linalg.ginibre, linalg.random_normal_matrix):
+            x = make(d, np.random.default_rng([420, d]))
+            z, w = radii.central_numerical_radius(x)
+            ref = radii.numerical_radius(x - z * np.eye(d), grid=4096)
+            assert abs(w - ref) <= 1e-12 * ref
+            assert w <= radii.radius(x, "C").value * (1.0 + 1e-11)
+            assert radii.central_numerical_radius(x) == (z, w)
+
+
+@pytest.mark.parametrize("make, seed", [(linalg.ginibre, [1, 8, 0]),
+                                        (linalg.random_normal_matrix, [1, 8, 1])])
+def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
+    # the peak polish reuses the boundary points of earlier centers, so a
+    # call needs far fewer top eigenvectors than ellipsoid steps times peaks
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    x = make(8, np.random.default_rng(seed))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    radii.central_numerical_radius(x)
+    assert len(calls) <= 450
+
+
 def test_membership_examples():
     assert radii.membership_in_range(linalg.PAULI_Z, 0.0).member
     assert radii.membership_in_range(linalg.PAULI_Z, 0.5 + 0.0j).member
