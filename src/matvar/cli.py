@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .commutators import evaluate_bounds, search_constant
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
+from .linalg import MODULUS_KINDS, PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
 from .norms import NormSpec, _as_p, norm
 from .radii import (
     ConvergenceError,
@@ -158,12 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rad = csub.add_parser("radius", help="minimal spectral-norm replacement radius")
     add_common(p_rad)
-    p_rad.add_argument("--kind", choices=("L", "R", "C"), default="C")
+    p_rad.add_argument("--kind", choices=MODULUS_KINDS, default="C")
 
     p_var = csub.add_parser("variance", help="state variance of a matrix observable")
     add_common(p_var)
     p_var.add_argument("--rho", required=True, help="density matrix JSON file")
-    p_var.add_argument("--kind", choices=("L", "R", "C"), default="C")
+    p_var.add_argument("--kind", choices=MODULUS_KINDS, default="C")
 
     p_nr = csub.add_parser("numrange", help="numerical radius, or membership of a point")
     add_common(p_nr)
@@ -311,7 +311,7 @@ def _cmd_commutator_bounds(args) -> int:
         if rep.ratio is not None:
             print(f"ratio: {rep.ratio:.12g}")
         else:
-            print("ratio: undefined (denominator below 1e-14)")
+            print("ratio: undefined (zero denominator)")
     return 0
 
 

@@ -91,17 +91,18 @@ def proof_identity_residual(x, y) -> float:
 def rho_from_x(x) -> np.ndarray:
     """The density matrix (X*X + XX*) / (2 ||X||_2^2)."""
     a = require_square(x)
-    fro2 = float(np.sum(np.abs(a) ** 2))
-    if math.sqrt(fro2) <= 1e-14:
-        raise ValueError("matrix is numerically zero; no density matrix to normalize")
+    top = float(np.abs(a).max())
+    if top == 0.0:
+        raise ValueError("matrix is zero; no density matrix to normalize")
+    a = a / top  # rho(cX) = rho(X): squares of tiny or huge entries would under- or overflow
     m = a.conj().T @ a + a @ a.conj().T
     m = 0.5 * (m + m.conj().T)
-    return m / (2.0 * fro2)
+    return m / (2.0 * float(np.sum(np.abs(a) ** 2)))
 
 
 def _is_normal(a: np.ndarray) -> bool:
     dev = a @ a.conj().T - a.conj().T @ a
-    return float(np.abs(dev).max()) <= 1e-12 * (1.0 + float(np.abs(a).max()) ** 2)
+    return float(np.abs(dev).max()) <= 1e-12 * float(np.abs(a).max()) ** 2
 
 
 def _spectral_radius_center(a: np.ndarray) -> float:
@@ -138,7 +139,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     comm = a @ b - b @ a
     lhs = norm(comm, NormSpec.schatten(p))
     denom = norm(a, NormSpec.schatten(q)) * norm(b, NormSpec.schatten(r))
-    ratio = lhs / denom if denom >= 1e-14 else None
+    ratio = lhs / denom if denom > 0.0 else None
 
     def entry(name: str, value: float) -> BoundEntry:
         slack = value - lhs
@@ -152,8 +153,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
         bounds.append(entry("holder", 2.0 * norm(a, NormSpec.schatten(q))
                             * norm(b, NormSpec.schatten(r))))
     if p == 2.0:
-        fro_x = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-        if fro_x > 1e-14:
+        if x2 > 0.0:
             var = quantum_variance(b, rho_from_x(a), "C")
             bounds.append(entry("chain_variance", 2.0 * x2 * math.sqrt(var)))
         bounds.append(entry("chain_cartesian_radius", 2.0 * x2 * radius(b, "C").value))

@@ -6,7 +6,7 @@ incremental algorithm), the variance-maximizing distribution over a point
 set (supported on at most three boundary points of the enclosing circle),
 and the Chebyshev-like center minimizing the power mean of the two largest
 distances.  ``_minimise_2d``, the ellipsoid method that finds that center,
-also serves the matrix radius and the recentred numerical radius in ``radii``.
+also serves the matrix radius in ``radii``.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ def _cross(p: complex, q: complex, x: complex) -> float:
 
 
 def _circumcircle(a: complex, b: complex, c: complex) -> Circle | None:
+    # from the vertex facing the longest side, whose edges are the least parallel
+    a, b, c = max((a, b, c), (b, c, a), (c, a, b), key=lambda t: abs(t[1] - t[2]))
     u = b - a
     v = c - a
     det = u.real * v.imag - u.imag * v.real

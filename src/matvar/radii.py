@@ -15,17 +15,19 @@ state.  The numerical range W(X) is sampled by support directions: for each
 angle the top eigenpair of the Hermitian part of a rotated copy of X yields
 one supporting half plane and one boundary point.
 
-Both ``radius`` and ``central_numerical_radius`` minimise a convex function
-of one complex center with an exact subgradient, by the deterministic
-central-cut ellipsoid method of ``geometry`` (``two_largest_radius`` uses it
-too), which stops on a relative certificate (best value minus lower bound).
-Support peaks are polished by secant steps on their exact slope, warm
-started across centers from boundary points found earlier.  Inputs
-are shifted by trace/d and scaled by their largest entry first, and the
-outputs are mapped back, so the relative accuracy does not depend on the
+``radius`` minimises a convex function of one complex center with an
+exact subgradient, by the deterministic central-cut ellipsoid method of
+``geometry`` (``two_largest_radius`` uses it too), which stops on a relative
+certificate (best value minus lower bound).  ``central_numerical_radius`` is
+the radius of the smallest disc containing W(X): an exchange between support
+peaks, polished by secant steps on their exact slope, and the smallest circle
+around the boundary points found so far (``geometry.enclosing_circle``).
+Inputs are shifted by trace/d and scaled by their largest entry first, and
+the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
 witness: ``primal_value`` is the witness's variance and ``gap`` the
-distance to the squared radius.  Nothing here draws random numbers; the
+distance to the squared radius.  Every result is deterministic: the only
+random numbers are the fixed shuffle inside ``enclosing_circle``, and the
 ``restarts`` and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
 
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _minimise_2d
+from .geometry import ConvergenceError, _minimise_2d, enclosing_circle
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -55,15 +57,10 @@ __all__ = [
 ]
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in MODULUS_KINDS:
-        raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    return kind
-
-
-def _check_angles(k: int) -> None:
+def _angles(k: int) -> np.ndarray:
     if k < 8:
         raise ValueError(f"need at least 8 angles, got {k}")
+    return 2.0 * math.pi * np.arange(k) / k
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,6 @@ def _check_angles(k: int) -> None:
 def quantum_variance(x, rho, kind: str) -> float:
     """Tr[rho |X|_kind^2] - |Tr[rho X]|^2 for a density matrix rho."""
     a = require_square(x)
-    _check_kind(kind)
     r = as_density(rho)
     if r.shape != a.shape:
         raise ValueError(f"shape mismatch: X is {a.shape}, rho is {r.shape}")
@@ -152,7 +148,7 @@ def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
     beyond until the polygon holds y; a fan triangle then holds y, and two
     segment solves land on it.  If y lies outside W(B) by rounding, the
     nearest point of the polygon is used instead."""
-    vecs = list(_support(b, 2.0 * math.pi * np.arange(8) / 8, vectors=True)[1])
+    vecs = list(_support(b, _angles(8), vectors=True)[1])
     for _ in range(64):
         pts = np.array([np.vdot(u, b @ u) for u in vecs])
         normal = 1j * (np.roll(pts, -1) - pts)  # outward: points run clockwise
@@ -267,7 +263,8 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     cap.
     """
     a = require_square(x)
-    _check_kind(kind)
+    if kind not in MODULUS_KINDS:
+        raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     if _is_scalar_multiple_of_identity(a):
         return RadiusResult(kind, complex(a[0, 0]), 0.0, 0.0, np.eye(a.shape[0], dtype=np.complex128)[0])
     shift, scale, b = _normalise(a)
@@ -307,8 +304,7 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
     point of W(X) on the supporting line.
     """
     a = require_square(x)
-    _check_angles(k)
-    theta = 2.0 * math.pi * np.arange(k) / k
+    theta = _angles(k)
     vals, top = _support(a, theta, vectors=True)
     boundary = np.einsum("ki,ij,kj->k", top.conj(), a, top)
     return NumericalRangeSample(theta, vals, boundary)
@@ -319,101 +315,90 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)).  The margin may
     fall short of 0 by 1e-8 times the largest |lam_max|."""
     a = require_square(x)
-    _check_angles(angles)
-    theta = 2.0 * math.pi * np.arange(angles) / angles
+    theta = _angles(angles)
     h = _support(a, theta)
     margin = float((h - (np.exp(1j * theta) * complex(z)).real).min())
     return Membership(margin >= -1e-8 * float(np.abs(h).max()), margin)
 
 
 def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
-                  n_peaks: int, xatol: float, seen: dict) -> tuple[float, float]:
-    """Sharpen the largest local maxima of theta -> h(theta) - Re(e^{i theta} shift);
-    return the largest value and its angle.
+                  xatol: float, points: list) -> float:
+    """Sharpen the local maxima of theta -> h(theta) - Re(e^{i theta} shift);
+    return the largest value.
 
     The function is the maximum over unit v of Re(e^{i theta} <v, (X - shift) v>),
     curves whose second derivative is at most ||X - shift|| <= 2 max g in
     size, so no angle beats the nearest grid point by more than ``slack``: a
     peak of the grid values g that far below the best value cannot win and
-    is not refined.  For a top eigenvector v and w = e^{i theta}
-    (<v, X v> - shift), the value is Re w and the slope -Im w
-    (Hellmann-Feynman).  Each peak is polished by secant steps on the slope,
-    within one grid spacing of it, until a step is below ``xatol``; the
-    first step, theta - arg w, is exact where the boundary point <v, X v>
-    stays put (a corner of W(X)).
-
-    ``seen`` maps a grid peak index to the last two (angle, <v, X v>) pairs
-    evaluated for it, and is updated.  The boundary point <v, X v> does not
-    depend on ``shift``, so a cached pair gives the exact value and slope at
-    any shift without an eigensolve: the polish replays the cached pairs
-    first, counts their values, and evaluates only the angles after them.
+    is not refined; every other peak is.  For a top eigenvector v and
+    w = e^{i theta} (<v, X v> - shift), the value is Re w and the slope
+    -Im w (Hellmann-Feynman).  Each peak is polished by secant steps on the
+    slope, within one grid spacing of it, until a step is below ``xatol``;
+    the first step, theta - arg w, is exact where the boundary point
+    <v, X v> stays put (a corner of W(X)).  Every boundary point evaluated
+    is appended to ``points``.
     """
     spacing = 2.0 * math.pi / theta.size
-    best, best_t = float(g.max()), float(theta[np.argmax(g)])
+    best = float(g.max())
     slack = 0.5 * spacing**2 * best
     ring = np.concatenate((g[-1:], g, g[:1]))
     peaks = np.flatnonzero((g >= ring[:-2]) & (g >= ring[2:]))
-    peaks = peaks[np.argsort(g[peaks])[::-1][:n_peaks]]
-    for j in peaks:
+    for j in peaks[np.argsort(g[peaks])[::-1]]:
         if g[j] < best - slack:
             break
-        pairs = list(seen.get(j, ()))
         t, last = float(theta[j]), None
-        for n in range(32):
-            if n < len(pairs):
-                t, p = pairs[n]
-            else:
-                v = _support(a, t, vectors=True)[1]
-                p = complex(np.vdot(v, a @ v))
-                pairs.append((t, p))
+        for _ in range(32):
+            v = _support(a, t, vectors=True)[1]
+            p = complex(np.vdot(v, a @ v))
+            points.append(p)
             w = np.exp(1j * t) * (p - shift)
-            if w.real > best:
-                best, best_t = float(w.real), t
+            best = max(best, float(w.real))
             if last is None or w.imag == last[1]:
                 step = -math.atan2(w.imag, w.real)
             else:  # the root of the slope -Im w is the root of Im w
                 step = -w.imag * (t - last[0]) / (w.imag - last[1])
             last = (t, w.imag)
             t = min(max(t + step, theta[j] - spacing), theta[j] + spacing)
-            if n + 1 >= len(pairs) and abs(t - last[0]) <= xatol:
+            if abs(t - last[0]) <= xatol:
                 break
-        seen[j] = pairs[-2:]
-    return best, best_t
+    return best
 
 
 def numerical_radius(x, grid: int = 360) -> float:
     """w(X) = max_theta lam_max(Re(e^{i theta} X)), grid plus local polish."""
     a = require_square(x)
-    _check_angles(grid)
-    theta = 2.0 * math.pi * np.arange(grid) / grid
-    return _refine_peaks(a, theta, _support(a, theta), 0j, n_peaks=3, xatol=1e-10, seen={})[0]
+    theta = _angles(grid)
+    return _refine_peaks(a, theta, _support(a, theta), 0j, xatol=1e-10, points=[])
 
 
 def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]:
-    """min_z w(X - z 1) with its optimal recentering z.
+    """min_z w(X - z 1) with its optimal recentering z: the radius and the
+    center of the smallest disc containing the numerical range W(X).
 
-    w(X - z) = max_theta h(theta) - Re(e^{i theta} z) is convex in z with
-    subgradient -e^{-i theta*} at the maximising angle theta*.  The support
-    values h are sampled once at ``boundary_k`` angles; each evaluation
-    refines the top peaks of the recentred grid, and the ellipsoid method
-    minimises over z.  The boundary points <v, X v> found by the polish do
-    not depend on z, so they are kept for the whole call: at the next z
-    each peak's polish starts from its last two, whose values and slopes are
-    exact there, and solves eigenproblems only for new angles.
-    Deterministic.
+    The support values h are sampled once at ``boundary_k`` angles.  The
+    boundary points <v, X v> at 8 support angles start a list P, and z starts
+    at the trace center.  Each round polishes the peaks of w(X - z) =
+    max_theta h(theta) - Re(e^{i theta} z), adds every boundary point it
+    evaluates to P, and takes the larger of the best peak and max |p - z| over
+    P as the value at z.  P lies in W(X), so the radius of the smallest circle
+    around P is a lower bound: once the value is within 1e-11 of it,
+    relatively, z and the value are returned; otherwise z moves to the
+    circle's center.  Deterministic.  Raises ``ConvergenceError`` if the
+    exchange hits its round cap.
     """
     a = require_square(x)
-    _check_angles(boundary_k)
+    theta = _angles(boundary_k)
     if _is_scalar_multiple_of_identity(a):
         return complex(a[0, 0]), 0.0
     shift, scale, b = _normalise(a)
-    theta = 2.0 * math.pi * np.arange(boundary_k) / boundary_k
     h, phase = _support(b, theta), np.exp(1j * theta)
-    seen: dict = {}
-
-    def oracle(z: complex) -> tuple[float, complex]:
-        val, t = _refine_peaks(b, theta, h - (phase * z).real, z, n_peaks=3, xatol=1e-7, seen=seen)
-        return val, -np.exp(-1j * t)
-
-    z, val = _minimise_2d(oracle, float(np.linalg.norm(b, 2)), rtol=1e-11)
-    return shift + scale * z, scale * val
+    points, z = list(numerical_range(b, 8).boundary_points), 0j
+    for _ in range(100):  # far above the 16 rounds seen on a stress set up to d = 16
+        best = _refine_peaks(b, theta, h - (phase * z).real, z, xatol=1e-7, points=points)
+        val = max(best, float(np.abs(np.array(points) - z).max()))
+        circle = enclosing_circle(points)
+        if val - circle.radius <= 1e-11 * val:
+            return shift + scale * z, scale * val
+        z = circle.center
+    raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
+                           f"value {scale * val!r}, lower bound {scale * circle.radius!r}")

@@ -39,6 +39,7 @@ from .geometry import (
     variance,
 )
 from .linalg import (
+    MODULUS_KINDS,
     ginibre,
     modulus,
     random_normal_matrix,
@@ -151,7 +152,7 @@ def _check_unitary_invariance(rng, dim_max, trial):
 def _check_duality_gap(rng, dim_max, trial):
     d = _dim(rng, min(dim_max, 8), 2)
     x = ginibre(d, rng)
-    kind = ("L", "R", "C")[trial % 3]
+    kind = MODULUS_KINDS[trial % 3]
     res = radius(x, kind)
     return -res.gap / (1.0 + res.value ** 2), f"kind={kind} d={d}"
 
@@ -175,7 +176,7 @@ def _check_central_below_left(rng, dim_max, trial):
 def _check_normal_spectrum_radius(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = random_normal_matrix(d, rng)
-    kind = ("L", "R", "C")[trial % 3]
+    kind = MODULUS_KINDS[trial % 3]
     r = radius(x, kind).value
     return -abs(r - enclosing_circle(np.linalg.eigvals(x)).radius), f"kind={kind}"
 
@@ -203,7 +204,7 @@ def _check_shift_covariance(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
     z = complex(rng.normal(), rng.normal())
-    kind = ("L", "R", "C")[trial % 3]
+    kind = MODULUS_KINDS[trial % 3]
     r0 = radius(x, kind).value
     r1 = radius(x + z * np.eye(d), kind).value
     return -abs(r0 - r1), f"kind={kind}"
@@ -212,9 +213,19 @@ def _check_shift_covariance(rng, dim_max, trial):
 def _check_center_in_range(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
-    kind = ("L", "R", "C")[trial % 3]
+    kind = MODULUS_KINDS[trial % 3]
     res = radius(x, kind)
     return membership_in_range(x, res.y_star).margin, f"kind={kind}"
+
+
+def _check_scale_covariance(rng, dim_max, trial):
+    # r(cX) = c r(X) and w_C(cX) = c w_C(X), to relative accuracy, far from unit scale
+    d = _dim(rng, dim_max, 2)
+    x = ginibre(d, rng)
+    c, kind = (1e-12, 1e-6, 1e6, 1e12)[trial % 4], MODULUS_KINDS[trial % 3]
+    errs = (radius(c * x, kind).value / (c * radius(x, kind).value),
+            central_numerical_radius(c * x)[1] / (c * central_numerical_radius(x)[1]))
+    return -max(abs(e - 1.0) for e in errs), f"c={c:g} kind={kind}"
 
 
 def _check_numrad_below_cartesian(rng, dim_max, trial):
@@ -355,6 +366,7 @@ _RADII = [
     ("normal-spectrum-radius", _check_normal_spectrum_radius, 1e-7),
     ("normal-chain", _check_normal_chain, None),
     ("shift-covariance", _check_shift_covariance, 1e-8),
+    ("scale-covariance", _check_scale_covariance, 1e-10),
     ("center-in-range", _check_center_in_range, 1e-7),
     ("numrad-below-cartesian", _check_numrad_below_cartesian, None),
     ("wradius-below-cradius", _check_wradius_below_cradius, 1e-7),

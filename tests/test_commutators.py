@@ -15,7 +15,15 @@ from matvar.commutators import (
     search_constant,
     witness_families,
 )
-from matvar.linalg import PAULI_X, PAULI_Y, PAULI_Z, as_density, basis_matrix, ginibre
+from matvar.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    as_density,
+    basis_matrix,
+    ginibre,
+    random_normal_matrix,
+)
 from matvar.norms import NormSpec, norm
 
 
@@ -121,6 +129,25 @@ def test_evaluate_bounds_zero_x():
     assert rep.lhs == 0.0
     assert rep.ratio is None
     assert all(e.holds for e in rep.bounds)
+
+
+def test_evaluate_bounds_scale_sweep():
+    # every gate is relative: scaling either argument, or both, keeps the
+    # bounds reported, the ratio and every verdict.  A non-normal 1e-8 Y once
+    # passed as normal, and its normal_radius bound read VIOLATED
+    for s in range(20):
+        rng = np.random.default_rng([506, s])
+        d = 2 + s % 4
+        x = ginibre(d, rng)
+        y = ginibre(d, rng) if s % 2 else random_normal_matrix(d, rng)
+        base = evaluate_bounds(x, y, 2, 2, 2)
+        names = [e.name for e in base.bounds]
+        for c in (1e-12, 1e-8, 1e8):
+            for rep in (evaluate_bounds(c * x, y, 2, 2, 2), evaluate_bounds(x, c * y, 2, 2, 2),
+                        evaluate_bounds(c * x, c * y, 2, 2, 2)):
+                assert [e.name for e in rep.bounds] == names
+                assert abs(rep.ratio - base.ratio) <= 1e-12 * base.ratio
+                assert all(e.holds for e in rep.bounds)
 
 
 def test_evaluate_bounds_exponent_validation():

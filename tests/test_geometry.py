@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,19 @@ def test_max_variance_properties():
             q = rng.random(n)
             q /= q.sum()
             assert variance(pts, q) <= val + 1e-9 * scale**2
+
+
+def test_enclosing_circle_with_nearly_coincident_points():
+    # the unit circle through one point and a pair eta apart opposite it:
+    # the circumcenter, taken from a vertex whose edges are nearly parallel,
+    # lost the radius to about 1e-16 / eta (4e-10 at the worst)
+    for trial in range(40):
+        rng = np.random.default_rng([308, trial])
+        eta = 10.0 ** rng.uniform(-8.0, -4.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        pts = np.exp(1j * (phi + np.array([0.0, math.pi - eta, math.pi + eta])))
+        for order in itertools.permutations(range(3)):
+            assert abs(enclosing_circle(pts[list(order)]).radius - 1.0) <= 1e-13
 
 
 def test_enclosing_circle_and_max_variance_are_scale_covariant():

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from matvar import linalg, radii
-from matvar.geometry import enclosing_circle
+from matvar.geometry import Circle, enclosing_circle
 from matvar.norms import NormSpec, norm
 
 SQ2 = math.sqrt(2.0)
@@ -384,7 +384,7 @@ def test_central_numerical_radius_below_cartesian_radius():
 def test_central_numerical_radius_certificate():
     # the returned value is w(X - z) itself, recomputed independently on a
     # fine grid, and repeatable bit for bit.  It is never above the Cartesian
-    # radius by more than the ellipsoid's stopping tolerance, 1e-11 relative:
+    # radius by more than the exchange's stopping tolerance, 1e-11 relative:
     # for a normal X both are the radius of the eigenvalues' enclosing circle
     for d in (2, 3, 4, 8, 16):
         for make in (linalg.ginibre, linalg.random_normal_matrix):
@@ -396,11 +396,43 @@ def test_central_numerical_radius_certificate():
             assert radii.central_numerical_radius(x) == (z, w)
 
 
+def test_central_numerical_radius_is_the_enclosing_radius_of_the_range():
+    # for a normal X, W(X) is the hull of the eigenvalues, so the answer is
+    # their enclosing radius.  Tied moduli and unitaries put every eigenvalue
+    # on a peak of nearly the same height, none of which may be skipped
+    normal = []
+    for s in range(24):
+        rng = np.random.default_rng([9, s])
+        d = 4 + s % 9
+        moduli = 1.0 + 1e-5 * rng.uniform(0.0, 1.0, d)
+        lam = moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d))
+        u = linalg.random_unitary(d, rng)
+        normal.append((u * lam) @ u.conj().T)
+    normal += [linalg.random_unitary(3 + s % 10, [5, s]) for s in range(12)]
+    for x in normal:
+        _, w = radii.central_numerical_radius(x)
+        ref = enclosing_circle(np.linalg.eigvals(x)).radius
+        assert abs(w - ref) <= 1e-12 * ref
+    # for any X, no disc smaller than the circle around sampled boundary points holds W(X)
+    for d in (2, 3, 4, 8, 16):
+        x = linalg.ginibre(d, np.random.default_rng([421, d]))
+        _, w = radii.central_numerical_radius(x)
+        sample = radii.numerical_range(x, 1024).boundary_points
+        assert w >= enclosing_circle(sample).radius * (1.0 - 1e-12)
+
+
+def test_central_numerical_radius_round_cap(monkeypatch):
+    # a lower bound that never closes the gap ends in ConvergenceError, not a hang
+    monkeypatch.setattr(radii, "enclosing_circle", lambda points: Circle(0j, 0.0))
+    with pytest.raises(radii.ConvergenceError, match="100-round cap"):
+        radii.central_numerical_radius(linalg.ginibre(3, np.random.default_rng(422)))
+
+
 @pytest.mark.parametrize("make, seed", [(linalg.ginibre, [1, 8, 0]),
                                         (linalg.random_normal_matrix, [1, 8, 1])])
 def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
-    # the peak polish reuses the boundary points of earlier centers, so a
-    # call needs far fewer top eigenvectors than ellipsoid steps times peaks
+    # each round of the exchange polishes only the peaks of the recentred
+    # support function, a few top eigenvectors each, and few rounds are needed
     calls = []
     eigh = np.linalg.eigh
 
@@ -411,7 +443,7 @@ def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
     x = make(8, np.random.default_rng(seed))
     monkeypatch.setattr(np.linalg, "eigh", counted)
     radii.central_numerical_radius(x)
-    assert len(calls) <= 450
+    assert len(calls) <= 150
 
 
 def test_membership_examples():
