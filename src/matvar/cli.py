@@ -144,12 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute a single quantity from matrix files")
     csub = compute.add_subparsers(dest="quantity", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="matrix JSON file")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="matrix JSON file")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="slack tolerance for pass/fail style outputs")
 
     p_norm = csub.add_parser("norm", help="unitarily invariant norm of a matrix")
     add_common(p_norm)

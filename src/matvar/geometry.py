@@ -1,14 +1,14 @@
 """Planar geometry of finite point sets in the complex plane.
 
 Variance of a weighted point set, the (max - min)^2 / 4 bound on the variance
-of bounded real samples, the smallest enclosing circle (Welzl's randomized
-incremental algorithm), the variance-maximizing distribution over a point
-set (supported on at most three boundary points of the enclosing circle),
-and the Chebyshev-like center minimizing the power mean of the two largest
-distances.  ``_minimise_2d``, the ellipsoid method that finds that center,
-also serves the matrix radius in ``radii``.
+of bounded real samples, and one Welzl routine for the smallest disc around
+points b_i with additive weights c_i >= 0, min_y max_i |y - b_i|^2 + c_i.
+With every weight 0 it is the smallest enclosing circle, and the barycentric
+coordinates of its center in the at most three points that fix it are the
+variance-maximizing distribution; ``radii.radius`` grows it from the means
+and variances of states.  ``_minimise_2d``, an ellipsoid method, finds the
+center minimizing the power mean of the two largest distances.
 """
-
 from __future__ import annotations
 
 import math
@@ -78,7 +78,22 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# smallest enclosing circle
+# smallest weighted disc
+
+
+# A weighted point is a tuple (b, c, i): a complex mean b, a weight c >= 0 and
+# an index i.  Its power at a center y is sqrt(|y - b|^2 + c); a disc holds it
+# when that power is at most the disc's radius.
+
+
+class _Disc(NamedTuple):
+    center: complex
+    radius: float
+    support: tuple  # the at most three points that fix the disc
+
+
+def _disc(y: complex, support: tuple) -> _Disc:
+    return _Disc(y, max([math.hypot(abs(y - b), math.sqrt(c)) for b, c, _ in support]), support)
 
 
 def _cross(p: complex, q: complex, x: complex) -> float:
@@ -86,92 +101,100 @@ def _cross(p: complex, q: complex, x: complex) -> float:
     return float(((q - p).conjugate() * (x - p)).imag)
 
 
-def _circumcircle(a: complex, b: complex, c: complex) -> Circle | None:
-    # from the vertex facing the longest side, whose edges are the least parallel
-    a, b, c = max((a, b, c), (b, c, a), (c, a, b), key=lambda t: abs(t[1] - t[2]))
-    u = b - a
-    v = c - a
-    det = u.real * v.imag - u.imag * v.real
-    scale = max(abs(u), abs(v), 1e-300)
-    if abs(det) <= 1e-14 * scale * scale:
-        return None  # collinear triple
-    bu = 0.5 * (u.real * u.real + u.imag * u.imag)
-    bv = 0.5 * (v.real * v.real + v.imag * v.imag)
-    wx = (bu * v.imag - bv * u.imag) / det
-    wy = (u.real * bv - v.real * bu) / det
-    center = a + complex(wx, wy)
-    return Circle(center, max(abs(a - center), abs(b - center), abs(c - center)))
+def _axis_foot(p: tuple, q: tuple) -> complex:
+    # where the radical axis of p and q crosses the line through their means
+    u = q[0] - p[0]
+    return 0.5 * (p[0] + q[0]) + (0.5 * (q[1] - p[1]) / (u.real * u.real + u.imag * u.imag)) * u
 
 
-def _diameter_circle(a: complex, b: complex) -> Circle:
-    center = 0.5 * (a + b)
-    return Circle(center, max(abs(a - center), abs(b - center)))
+def _pair_disc(p: tuple, q: tuple) -> _Disc:
+    u = q[0] - p[0]
+    if u.real * u.real + u.imag * u.imag == 0.0:  # coincident means: the larger weight covers the other
+        return _disc(q[0], (q,)) if q[1] > p[1] else _disc(p[0], (p,))
+    return _disc(_axis_foot(p, q), (p, q))
 
 
-def _inside(x: complex, c: Circle) -> bool:
-    return abs(x - c.center) <= c.radius * (1.0 + 1e-14) + 1e-14
+def _radical_disc(a: tuple, b: tuple, c: tuple) -> _Disc | None:
+    # the center of equal power lies on the radical axis of the ends b, c of
+    # the longest side, where a's power matches theirs.  When the means are
+    # nearly collinear only the step along that axis is ill-conditioned, and
+    # an error in it changes the powers least
+    a, b, c = max((a, b, c), (b, c, a), (c, a, b), key=lambda t: abs(t[1][0] - t[2][0]))
+    e = c[0] - b[0]
+    cross = (e.conjugate() * (b[0] - a[0])).imag
+    if abs(cross) <= 1e-14 * max(e.real * e.real + e.imag * e.imag, 1e-300):
+        return None  # collinear means
+    foot = _axis_foot(b, c)
+    gap = abs(foot - b[0]) ** 2 + b[1] - abs(foot - a[0]) ** 2 - a[1]
+    return _disc(foot + 1j * e * (0.5 * gap / cross), (a, b, c))
 
 
-def _circle_two_fixed(pts: np.ndarray, p: complex, q: complex) -> Circle:
-    # smallest circle through p and q containing pts; track the extreme
-    # circumcircles on each side of the chord pq
-    base = _diameter_circle(p, q)
-    left: Circle | None = None
-    right: Circle | None = None
+def _inside(p: tuple, d: _Disc) -> bool:
+    return math.hypot(abs(p[0] - d.center), math.sqrt(p[1])) <= d.radius * (1.0 + 1e-14) + 1e-14
+
+
+def _circle_two_fixed(pts: list, p: tuple, q: tuple) -> _Disc:
+    # smallest disc with p and q on its boundary holding pts: its center lies
+    # on their radical axis, so track the extreme radical centers on each side
+    # of the chord pq
+    base = _pair_disc(p, q)
+    left = right = None
     left_key = right_key = 0.0
     for s in pts:
         if _inside(s, base):
             continue
-        side = _cross(p, q, s)
-        circ = _circumcircle(p, q, s)
-        if circ is None:
+        side = _cross(p[0], q[0], s[0])
+        disc = _radical_disc(p, q, s)
+        if disc is None:
             continue
-        key = _cross(p, q, circ.center)
+        key = _cross(p[0], q[0], disc.center)
         if side > 0.0 and (left is None or key > left_key):
-            left, left_key = circ, key
+            left, left_key = disc, key
         elif side < 0.0 and (right is None or key < right_key):
-            right, right_key = circ, key
-    if left is None and right is None:
-        return base
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
+            right, right_key = disc, key
+    return min([d for d in (left, right) if d is not None], key=lambda d: d.radius, default=base)
 
 
-def _circle_one_fixed(pts: np.ndarray, p: complex) -> Circle:
-    c = Circle(p, 0.0)
+def _circle_one_fixed(pts: list, p: tuple) -> _Disc:
+    # smallest disc with p on its boundary holding pts
+    d = _disc(p[0], (p,))
     for j, q in enumerate(pts):
-        if not _inside(q, c):
-            if c.radius == 0.0:
-                c = _diameter_circle(p, q)
-            else:
-                c = _circle_two_fixed(pts[: j + 1], p, q)
-    return c
+        if not _inside(q, d):
+            d = _circle_two_fixed(pts[:j], p, q)
+    return d
+
+
+def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, float, list]:
+    """The disc of least radius max_i sqrt(|y - b_i|^2 + c_i) over centers y,
+    for points b_i with weights c_i >= 0, and the indices of the at most
+    three points that fix it; its center lies in their convex hull.
+
+    Welzl's randomized incremental algorithm, with a fixed shuffle so calls
+    are deterministic.  It runs on the points centred on their centroid and
+    divided by the largest of their distances from it and the root weights,
+    so its slacks are relative and no square underflows or overflows."""
+    centroid = complex(points.mean())
+    scale = max(float(np.abs(points - centroid).max()), math.sqrt(float(weights.max())))
+    if scale == 0.0:
+        return complex(points[0]), 0.0, [0]
+    order = np.random.default_rng(_SHUFFLE_SEED).permutation(points.size)
+    shuffled = list(zip(((points[order] - centroid) / scale).tolist(),
+                        (weights[order] / scale / scale).tolist(), order.tolist()))
+    d = _disc(shuffled[0][0], (shuffled[0],))
+    for i, p in enumerate(shuffled):
+        if not _inside(p, d):
+            d = _circle_one_fixed(shuffled[:i], p)
+    # report the exact radius at the computed center
+    center = centroid + scale * d.center
+    return center, float(np.hypot(np.abs(points - center), np.sqrt(weights)).max()), [p[2] for p in d.support]
 
 
 def enclosing_circle(points) -> Circle:
-    """Smallest circle containing all points (unique; found in randomized
-    incremental fashion but with a fixed shuffle so calls are deterministic).
-
-    The search runs on the points centred on their centroid and divided by
-    their largest distance from it, so its slacks are relative and no square
-    underflows or overflows: the result is scale-covariant."""
+    """Smallest circle containing all points: the weighted disc of
+    ``_smallest_disc`` with every weight 0 (unique, deterministic and
+    scale-covariant)."""
     pts = _as_points(points)
-    centroid = complex(pts.mean())
-    scale = float(np.abs(pts - centroid).max())
-    if scale == 0.0:
-        return Circle(complex(pts[0]), 0.0)
-    order = np.random.default_rng(_SHUFFLE_SEED).permutation(pts.size)
-    shuffled = (pts[order] - centroid) / scale
-    c = Circle(complex(shuffled[0]), 0.0)
-    for i, p in enumerate(shuffled):
-        if not _inside(p, c):
-            c = _circle_one_fixed(shuffled[:i], complex(p))
-    # report the exact covering radius of the computed center
-    center = centroid + scale * c.center
-    return Circle(center, float(np.abs(pts - center).max()))
+    return Circle(*_smallest_disc(pts, np.zeros(pts.size))[:2])
 
 
 def boundary_support(points, circle: Circle, tol: float = 1e-9) -> np.ndarray:
@@ -185,68 +208,22 @@ def boundary_support(points, circle: Circle, tol: float = 1e-9) -> np.ndarray:
 # max-variance distribution
 
 
-# Both weight searches take the points relative to the circle center, in
-# units of its radius: the chosen points must have the origin as their mean.
-
-
-def _pair_weights(points: np.ndarray, idx: np.ndarray, tol: float):
-    for ii in range(idx.size):
-        for jj in range(ii + 1, idx.size):
-            a, b = points[idx[ii]], points[idx[jj]]
-            if abs(a + b) <= tol:
-                return [(idx[ii], 0.5), (idx[jj], 0.5)]
-    return None
-
-
-def _triple_weights(points: np.ndarray, idx: np.ndarray, tol: float):
-    for ii in range(idx.size):
-        for jj in range(ii + 1, idx.size):
-            for kk in range(jj + 1, idx.size):
-                a, b, d = (points[idx[t]] for t in (ii, jj, kk))
-                u, v = b - a, d - a
-                det = u.real * v.imag - u.imag * v.real
-                if abs(det) <= 1e-14 * (1.0 + abs(u)) * (1.0 + abs(v)):
-                    continue
-                w = -a
-                s = (w.real * v.imag - w.imag * v.real) / det
-                t = (u.real * w.imag - u.imag * w.real) / det
-                lams = np.array([1.0 - s - t, s, t])
-                if lams.min() >= -1e-9:
-                    lams = np.clip(lams, 0.0, None)
-                    lams /= lams.sum()
-                    return [(idx[t2], lams[pos]) for pos, t2 in enumerate((ii, jj, kk))]
-    return None
-
-
 def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     """Probabilities maximizing the variance over a fixed point set.
 
-    The maximum equals the squared radius of the smallest enclosing circle,
-    attained by a distribution on at most three boundary points whose mean
-    is the circle center.
+    The maximum equals the squared radius of the smallest enclosing circle.
+    It is attained by the barycentric coordinates of the circle's center in
+    the at most three points that fix the circle: a distribution on them
+    whose mean is the center.
     """
     pts = _as_points(points)
-    n = pts.size
-    if n == 1:
-        return np.array([1.0]), 0.0
-    circ = enclosing_circle(pts)
-    if circ.radius <= 1e-15 * float(np.abs(pts).max()):
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out, 0.0
-    probs = np.zeros(n)
-    rel = (pts - circ.center) / circ.radius
-    for widen in range(4):
-        tol = 1e-9 * 10.0**widen
-        idx = boundary_support(pts, circ, tol=tol)
-        chosen = _pair_weights(rel, idx, tol)
-        if chosen is None:
-            chosen = _triple_weights(rel, idx, tol)
-        if chosen is not None:
-            for i, w in chosen:
-                probs[i] = w
-            return probs, circ.radius * circ.radius
-    raise RuntimeError("could not locate a boundary distribution with the circle center as mean")
+    center, radius, idx = _smallest_disc(pts, np.zeros(pts.size))
+    rel = (pts[idx] - center) / (radius or 1.0)  # radius 0: every point is the center
+    lams = np.linalg.lstsq(np.array([rel.real, rel.imag, np.ones(len(idx))]),
+                           np.array([0.0, 0.0, 1.0]), rcond=None)[0].clip(0.0, None)
+    probs = np.zeros(pts.size)
+    probs[idx] = lams / lams.sum()
+    return probs, radius * radius
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +239,8 @@ def _minimise_2d(oracle, r0: float, rtol: float, max_steps: int = 1000) -> tuple
     the half that g points away from, and f(c) - sqrt(g^T P g) bounds min f
     from below.  Stops once the best value is within rtol of that bound,
     relatively, or once g^T P g = 0 (the ellipsoid has collapsed onto a
-    minimiser).  rtol = 1e-14 takes 100 to 260 steps for the matrix radius
-    up to d = 64.
+    minimiser).  rtol = 1e-14 takes at most 250 steps for
+    ``two_largest_radius`` on up to 12 points.
     """
     c, p11, p12, p22 = 0j, r0 * r0, 0.0, r0 * r0
     best_z, best_f, lower = c, math.inf, -math.inf

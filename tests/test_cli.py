@@ -211,6 +211,8 @@ def test_cli_flag_errors(fixtures, capsys):
     with pytest.raises(SystemExit):
         main(["compute", "commutator-bounds", "--x", "a.json", "--y", "b.json",
               "--p", "bogus", "--q", "2", "--r", "2"])
+    with pytest.raises(SystemExit):  # no compute command but commutator-bounds reads a tolerance
+        main(["compute", "radius", "--input", str(fixtures / "e12.json"), "--tol", "1e-3"])
     rc = main(["compute", "norm", "--input", "/nonexistent.json",
                "--spec", "schatten:2"])
     assert rc == 2

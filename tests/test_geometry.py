@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from matvar import linalg
 from matvar.geometry import (
     Circle,
+    _smallest_disc,
     boundary_support,
     enclosing_circle,
     hull_membership_margin,
@@ -60,6 +61,77 @@ def _oracle_circle(points):
             if best is None or circ.radius < best.radius:
                 best = circ
     return best
+
+
+def _oracle_weighted_value(b, c):
+    # min over centers y of max_i |y - b_i|^2 + c_i: the optimum is fixed by
+    # one point (y = b_i), two (the point of their radical axis nearest the
+    # first mean, clipped to the segment) or three (the radical center), so
+    # the best of those candidate centers attains it
+    n = len(b)
+    cands = list(b)
+    for i, j in itertools.combinations(range(n), 2):
+        u = b[j] - b[i]
+        if abs(u) > 0.0:
+            t = min(max(0.5 + (c[j] - c[i]) / (2.0 * abs(u) ** 2), 0.0), 1.0)
+            cands.append(b[i] + t * u)
+    for i, j, k in itertools.combinations(range(n), 3):
+        u, v = b[j] - b[i], b[k] - b[i]
+        m = np.array([[u.real, u.imag], [v.real, v.imag]])
+        if abs(np.linalg.det(m)) <= 1e-14 * abs(u) * abs(v):
+            continue
+        w = np.linalg.solve(m, 0.5 * np.array([abs(u) ** 2 + c[j] - c[i], abs(v) ** 2 + c[k] - c[i]]))
+        cands.append(b[i] + complex(*w))
+    cands = np.array(cands)
+    return float((np.abs(cands[:, None] - b[None, :]) ** 2 + c[None, :]).max(axis=1).min())
+
+
+def _weighted_point_set(trial, rng):
+    n = int(rng.integers(1, 12))
+    b = linalg.random_point_set(n, rng)
+    if trial % 4 == 1:  # collinear, with duplicates
+        b = rng.integers(-3, 4, n) * complex(rng.standard_normal(), rng.standard_normal())
+    elif trial % 4 == 2:  # duplicate points
+        b[: n // 2] = b[n - n // 2:][: n // 2]
+    elif trial % 4 == 3:  # coincident means (with different weights when c != 0)
+        b[:] = b[0]
+    c = np.zeros(n) if (trial // 4) % 2 == 0 else rng.uniform(0.0, 1.0, n)
+    return b, c
+
+
+def test_weighted_disc_matches_brute_force():
+    for trial in range(160):
+        rng = np.random.default_rng([309, trial])
+        b, c = _weighted_point_set(trial, rng)
+        center, radius, idx = _smallest_disc(b, c)
+        value = radius * radius
+        ref = _oracle_weighted_value(b, c)
+        assert abs(value - ref) <= 1e-12 * ref
+        assert (np.abs(b - center) ** 2 + c).max() <= value * (1.0 + 1e-12)
+        # at most three points fix the disc, and its center lies in their hull
+        assert 1 <= len(idx) <= 3 and len(set(idx)) == len(idx)
+        rel = (b[idx] - center) / max(radius, 1e-300)
+        lams = np.linalg.lstsq(np.array([rel.real, rel.imag, np.ones(len(idx))]),
+                               np.array([0.0, 0.0, 1.0]), rcond=None)[0]
+        assert lams.min() >= -1e-12
+        assert abs(np.dot(lams, rel)) <= 1e-12 and abs(lams.sum() - 1.0) <= 1e-12
+
+
+def test_weighted_disc_with_nearly_collinear_means():
+    # a heavy point between two light ones, eta off their line, all three on
+    # the disc, as the exchange of radius meets them on nearly normal inputs:
+    # only the center's offset across the line is ill-conditioned, and it
+    # must not leak into the value (a radical center solved from one vertex
+    # lost up to 5.7e-12 here)
+    for trial in range(200):
+        rng = np.random.default_rng([310, trial])
+        eta = 10.0 ** rng.uniform(-9.0, -5.0)
+        b = np.array([-1.0, rng.uniform(-0.5, 0.5), 1.0]) + 1j * eta * rng.standard_normal(3)
+        center = complex(rng.dirichlet(np.ones(3)) @ b)
+        c = 5.0 - np.abs(center - b) ** 2  # every point has power 5 at the center, which they hold
+        phase, shift = np.exp(2j * math.pi * rng.uniform()), complex(*rng.standard_normal(2))
+        _, radius, _ = _smallest_disc(phase * b + shift, c)
+        assert abs(radius * radius / 5.0 - 1.0) <= 1e-13
 
 
 def test_variance_examples():
@@ -165,6 +237,17 @@ def test_max_variance_examples():
     probs, val = max_variance_distribution([0.0, 1.0, 1j])
     assert_allclose(val, 0.5, atol=1e-12)
     assert_allclose(variance([0.0, 1.0, 1j], probs), val, atol=1e-10)
+    # collinear points: half on each end
+    probs, val = max_variance_distribution([0.0, 1.0, 2.0, 3.0])
+    assert_allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+    assert_allclose(val, 2.25, atol=1e-12)
+    # duplicated boundary points split their mass but keep the squared radius
+    for pts in ([0.0, 2.0, 2.0, 0.0], [1.0, 1j, -1.0, -1j, 1.0, -1.0, 1j],
+                np.exp(2j * math.pi * np.arange(10) / 5)):
+        probs, val = max_variance_distribution(pts)
+        radius = enclosing_circle(pts).radius
+        assert_allclose(val, radius * radius, rtol=1e-12)
+        assert_allclose(variance(pts, probs), val, rtol=1e-12)
 
 
 def test_max_variance_against_simplex_grid():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matvar import linalg, radii
+from matvar import geometry, linalg, radii
 from matvar.geometry import Circle, enclosing_circle
 from matvar.norms import NormSpec, norm
 
@@ -203,7 +203,7 @@ def test_central_numerical_radius_scale_sweep():
 
 def test_radius_witness_on_nearly_normal_matrices():
     # N + eps G has a smooth optimum whose top eigenvalue is split by about
-    # eps: the eigenvector at the ellipsoid's center misses by about
+    # eps: the eigenvector at the computed center misses by about
     # 1e-14 / eps, and a degenerate-eigenspace vector by about eps
     rng = np.random.default_rng(419)
     for d in (2, 3, 4, 8):
@@ -428,11 +428,7 @@ def test_central_numerical_radius_round_cap(monkeypatch):
         radii.central_numerical_radius(linalg.ginibre(3, np.random.default_rng(422)))
 
 
-@pytest.mark.parametrize("make, seed", [(linalg.ginibre, [1, 8, 0]),
-                                        (linalg.random_normal_matrix, [1, 8, 1])])
-def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
-    # each round of the exchange polishes only the peaks of the recentred
-    # support function, a few top eigenvectors each, and few rounds are needed
+def _count_eigh(monkeypatch, solve, x) -> int:
     calls = []
     eigh = np.linalg.eigh
 
@@ -440,10 +436,51 @@ def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
         calls.append(None)
         return eigh(*args, **kwargs)
 
-    x = make(8, np.random.default_rng(seed))
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    radii.central_numerical_radius(x)
-    assert len(calls) <= 150
+    solve(x)
+    return len(calls)
+
+
+BUDGET_INPUTS = [(linalg.ginibre, [1, 8, 0]), (linalg.random_normal_matrix, [1, 8, 1])]
+
+
+@pytest.mark.parametrize("make, seed", BUDGET_INPUTS)
+def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
+    # each round of the exchange polishes only the peaks of the recentred
+    # support function, a few top eigenvectors each, and few rounds are needed
+    x = make(8, np.random.default_rng(seed))
+    assert _count_eigh(monkeypatch, radii.central_numerical_radius, x) <= 150
+
+
+@pytest.mark.parametrize("make, seed", BUDGET_INPUTS)
+def test_radius_eigensolve_budget(monkeypatch, make, seed):
+    # one eigensolve per round of the exchange, and a few for the witness
+    x = make(8, np.random.default_rng(seed))
+    assert _count_eigh(monkeypatch, lambda a: radii.radius(a, "C"), x) <= 90
+
+
+def test_radius_round_cap(monkeypatch):
+    # a model disc that never takes in the new points ends in ConvergenceError, not a hang
+    monkeypatch.setattr(radii, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
+    with pytest.raises(radii.ConvergenceError, match="round cap"):
+        radii.radius(linalg.ginibre(3, np.random.default_rng(423)), "C")
+
+
+def test_radius_on_structured_inputs():
+    # flat tops, segments and discs: Hermitian, unitary, rank-one, Jordan and
+    # Jordan-plus-diagonal inputs, far from unit scale too
+    for d in (2, 5, 12):
+        rng = np.random.default_rng([424, d])
+        jordan = np.eye(d, k=1, dtype=np.complex128)
+        rank_one = np.outer(linalg.random_unit_vector(d, rng), linalg.random_unit_vector(d, rng).conj())
+        for x in (linalg.random_hermitian(d, rng), linalg.random_unitary(d, rng), rank_one,
+                  jordan, jordan + np.diag(np.arange(d))):
+            for kind in "LRC":
+                base = radii.radius(x, kind).value
+                for c in (1.0, 1e-12, 1e12):
+                    res = radii.radius(c * x, kind)
+                    assert res.gap <= 1e-13 * res.value * res.value
+                    assert abs(res.value / (c * base) - 1.0) <= 1e-12
 
 
 def test_membership_examples():
