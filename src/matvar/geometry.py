@@ -1,13 +1,13 @@
 """Planar geometry of finite point sets in the complex plane.
 
 Variance of a weighted point set, the (max - min)^2 / 4 bound on the variance
-of bounded real samples, and one Welzl routine for the smallest disc around
-points b_i with additive weights c_i >= 0, min_y max_i |y - b_i|^2 + c_i.
-With every weight 0 it is the smallest enclosing circle, and the barycentric
-coordinates of its center in the at most three points that fix it are the
-variance-maximizing distribution; ``radii.radius`` grows it from the means
-and variances of states.  ``_minimise_2d``, an ellipsoid method, finds the
-center minimizing the power mean of the two largest distances.
+of bounded real samples, and one farthest-point exchange, ``_exchange``, for
+the smallest disc around points b_i with additive weights c_i >= 0,
+min_y max_i |y - b_i|^2 + c_i.  Over a finite set with every weight 0 it
+gives the smallest enclosing circle and the variance-maximizing distribution;
+``radii`` runs it over states and over the numerical range.  ``_minimise_2d``,
+an ellipsoid method, finds the center minimizing the power mean of the two
+largest distances.
 """
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ __all__ = [
     "two_largest_radius",
     "hull_membership_margin",
 ]
-
-_SHUFFLE_SEED = 0x5EED
-
 
 class Circle(NamedTuple):
     center: complex
@@ -62,6 +59,19 @@ def _as_probs(probs, n: int) -> np.ndarray:
     return p / s
 
 
+def _divide(z: np.ndarray, s: float) -> np.ndarray:
+    # z / s part by part: numpy divides by a real through its reciprocal, inf at a subnormal s
+    return z.real / s + 1j * (z.imag / s)
+
+
+def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, np.ndarray]:
+    # the centroid, the largest distance from it (at least floor) and the points
+    # about it in that unit, whose squared lengths neither underflow nor overflow
+    centroid = complex(points.mean())
+    scale = max(float(np.abs(points - centroid).max()), floor)
+    return centroid, scale, _divide(points - centroid, scale or 1.0)
+
+
 def variance(points, probs) -> float:
     """sum_i p_i |x_i - mean|^2 for complex points x with weights p."""
     x = _as_points(points)
@@ -82,8 +92,8 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
 
 
 # A weighted point is a tuple (b, c, i): a complex mean b, a weight c >= 0 and
-# an index i.  Its power at a center y is sqrt(|y - b|^2 + c); a disc holds it
-# when that power is at most the disc's radius.
+# its index i in a finite set, or None.  Its power at a center y is
+# sqrt(|y - b|^2 + c); a disc holds it when that power is at most its radius.
 
 
 class _Disc(NamedTuple):
@@ -164,26 +174,51 @@ def _circle_one_fixed(pts: list, p: tuple) -> _Disc:
     return d
 
 
+def _exchange(farthest, y: complex, rtol: float, cap: int) -> tuple[complex, float, _Disc, bool]:
+    """Farthest-point exchange (Elzinga and Hearn, Transportation Science 6,
+    1972) for min_y f(y), f the largest power over a set of weighted points.
+
+    ``farthest(y)`` returns f(y), or an estimate, and points of the set, the
+    farthest first.  Each point outside the disc grows it by Welzl's step
+    (LNCS 555, 1991) and is taken; the disc around the points taken bounds
+    min f from below, and its center is the next y.  Stops once no point grew
+    the disc or the best value is within ``rtol`` of its radius, relatively.
+    Returns the best y, its value, the disc and whether it stopped in time.
+    """
+    taken, disc = [], None
+    best_y, best = y, math.inf
+    for _ in range(cap):
+        value, points = farthest(y)
+        if value < best:
+            best_y, best = y, value
+        size = len(taken)
+        for p in points:
+            if disc is None or not _inside(p, disc):
+                disc = _circle_one_fixed(taken, p)
+                taken.append(p)
+        if len(taken) == size or best - disc.radius <= rtol * best:
+            return best_y, best, disc, True
+        y = disc.center
+    return best_y, best, disc, False
+
+
 def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, float, list]:
     """The disc of least radius max_i sqrt(|y - b_i|^2 + c_i) over centers y,
     for points b_i with weights c_i >= 0, and the indices of the at most
-    three points that fix it; its center lies in their convex hull.
-
-    Welzl's randomized incremental algorithm, with a fixed shuffle so calls
-    are deterministic.  It runs on the points centred on their centroid and
-    divided by the largest of their distances from it and the root weights,
-    so its slacks are relative and no square underflows or overflows."""
-    centroid = complex(points.mean())
-    scale = max(float(np.abs(points - centroid).max()), math.sqrt(float(weights.max())))
+    three points that fix it; its center lies in their convex hull.  The
+    exchange runs on the points as ``_centre`` scales them, and the weights
+    in the same unit, with an argmax over the set as its farthest point."""
+    centroid, scale, rel = _centre(points, math.sqrt(float(weights.max())))
     if scale == 0.0:
         return complex(points[0]), 0.0, [0]
-    order = np.random.default_rng(_SHUFFLE_SEED).permutation(points.size)
-    shuffled = list(zip(((points[order] - centroid) / scale).tolist(),
-                        (weights[order] / scale / scale).tolist(), order.tolist()))
-    d = _disc(shuffled[0][0], (shuffled[0],))
-    for i, p in enumerate(shuffled):
-        if not _inside(p, d):
-            d = _circle_one_fixed(shuffled[:i], p)
+    c = weights / scale / scale
+
+    def farthest(y: complex) -> tuple[float, list]:
+        power = np.abs(rel - y) ** 2 + c
+        i = int(np.argmax(power))
+        return math.sqrt(power[i]), [(complex(rel[i]), float(c[i]), i)]
+
+    d = _exchange(farthest, 0j, 0.0, 2 * points.size + 2)[2]  # twice the n + 1 rounds it needs
     # report the exact radius at the computed center
     center = centroid + scale * d.center
     return center, float(np.hypot(np.abs(points - center), np.sqrt(weights)).max()), [p[2] for p in d.support]
@@ -218,7 +253,7 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     """
     pts = _as_points(points)
     center, radius, idx = _smallest_disc(pts, np.zeros(pts.size))
-    rel = (pts[idx] - center) / (radius or 1.0)  # radius 0: every point is the center
+    rel = _divide(pts[idx] - center, radius or 1.0)  # radius 0: every point is the center
     lams = np.linalg.lstsq(np.array([rel.real, rel.imag, np.ones(len(idx))]),
                            np.array([0.0, 0.0, 1.0]), rcond=None)[0].clip(0.0, None)
     probs = np.zeros(pts.size)
@@ -283,11 +318,9 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
         raise ValueError("need at least two points")
     if not (p >= 1.0):
         raise ValueError(f"power mean exponent must be >= 1, got {p!r}")
-    centroid = complex(pts.mean())
-    scale = float(np.abs(pts - centroid).max())
+    centroid, scale, rel = _centre(pts)
     if scale == 0.0:
         return centroid, 0.0
-    rel = (pts - centroid) / scale  # the ellipsoid squares lengths: keep them near 1
 
     def oracle(u: complex) -> tuple[float, complex]:
         dists = np.abs(rel - u)

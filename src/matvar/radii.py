@@ -15,21 +15,15 @@ state.  The numerical range W(X) is sampled by support directions: for each
 angle the top eigenpair of the Hermitian part of a rotated copy of X yields
 one supporting half plane and one boundary point.
 
-``radius`` minimises lam_max(|X - y|^2), a convex function of one complex
-center, by an exchange: every top eigenvector v gives a point <v, X v> with
-variance c, and the smallest weighted disc around the points found so far
-(the Welzl routine of ``geometry``) is a lower bound whose center is the
-next y.  ``central_numerical_radius`` is the radius of the smallest disc
-containing W(X): an exchange between support peaks, polished by secant
-steps on their exact slope, and the smallest circle around the boundary
-points found so far (``geometry.enclosing_circle``).
+``radius`` and ``central_numerical_radius`` are smallest-disc problems,
+solved by the farthest-point exchange ``geometry._exchange``.
 Inputs are shifted by trace/d and scaled by their largest entry first, and
 the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
 witness: ``primal_value`` is the witness's variance and ``gap`` the
-distance to the squared radius.  Every result is deterministic: the only
-random numbers are the fixed shuffle inside ``enclosing_circle``, and the
-``restarts`` and ``seed`` arguments of ``radius`` are accepted and ignored.
+distance to the squared radius.  Every result is deterministic: nothing
+draws random numbers, and the ``restarts`` and ``seed`` arguments of
+``radius`` are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _circle_one_fixed, _inside, enclosing_circle
+from .geometry import ConvergenceError, _exchange
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -254,18 +248,15 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     """r_kind(X): minimize the spectral norm of the shifted modulus over
     centers, certified by a pure-state variance witness.
 
-    The center minimizes lam_max(|X - y|_kind^2), a convex function of y.
     A unit v gives the mean b = <v, X v> and variance c = <v, |X|^2 v> - |b|^2,
-    and |y - b|^2 + c <= lam_max(|X - y|^2) for every y, so the smallest
-    weighted disc around the points found so far bounds r^2 from below.  From
-    the trace center, each round adds the point of a top eigenvector at y and
-    moves y to the disc's center, until the new point lies in the disc: then
-    lam_max at y is within about 1e-14 of the bound, relatively.
-    ``primal_value`` is the witness's variance, a lower bound on value^2,
-    and ``gap`` is the difference; both are inf above a radius of about
-    1.3e154, where the square overflows.  Deterministic: ``restarts`` and
-    ``seed`` are accepted and ignored.  Raises ``ConvergenceError`` if the
-    exchange hits its 500-round cap.
+    and lam_max(|X - y|^2), convex in y, is the largest |y - b|^2 + c over
+    unit v, attained at a top eigenvector: ``geometry._exchange`` minimises
+    it from the trace center, to about 1e-14 relatively.  ``primal_value`` is
+    the witness's variance, a lower bound on value^2, and ``gap`` is the
+    difference; both are inf above a radius of about 1.3e154, where the
+    square overflows.  Deterministic: ``restarts`` and ``seed`` are accepted
+    and ignored.  Raises ``ConvergenceError`` if the exchange hits its
+    500-round cap.
     """
     a = require_square(x)
     if kind not in MODULUS_KINDS:
@@ -274,26 +265,20 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         return RadiusResult(kind, complex(a[0, 0]), 0.0, 0.0, np.eye(a.shape[0], dtype=np.complex128)[0])
     shift, scale, b = _normalise(a)
     msq = modulus_squared(b, kind)
-    points, y = [], 0j
-    best_lam, best_y = math.inf, y
-    for _ in range(500):  # far above the 52 rounds seen on a stress set up to d = 32
+
+    def farthest(y: complex) -> tuple[float, list]:
         w, v = _shifted_eigh(b, msq, y)
-        if w[-1] < best_lam:
-            best_lam, best_y = float(w[-1]), y
         top = v[:, -1]
         mean = complex(np.vdot(top, b @ top))
-        point = (mean, max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0), len(points))
-        if points and _inside(point, disc):
-            break
-        disc = _circle_one_fixed(points, point)
-        points.append(point)
-        y = disc.center
-    else:
+        var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
+        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, None)]
+
+    y, value, disc, done = _exchange(farthest, 0j, 0.0, 500)  # 51 rounds at most on a stress set
+    if not done:
         raise ConvergenceError("radius exchange hit its 500-round cap; value "
-                               f"{scale * math.sqrt(best_lam)!r}, lower bound {scale * disc.radius!r}")
-    primal, witness = _witness(b, msq, best_y)
-    return RadiusResult(kind, shift + scale * best_y, scale * math.sqrt(best_lam),
-                        scale * scale * max(primal, 0.0), witness)
+                               f"{scale * value!r}, lower bound {scale * disc.radius!r}")
+    primal, witness = _witness(b, msq, y)
+    return RadiusResult(kind, shift + scale * y, scale * value, scale * scale * max(primal, 0.0), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +375,11 @@ def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
     center of the smallest disc containing the numerical range W(X).
 
-    The support values h are sampled once at ``boundary_k`` angles.  The
-    boundary points <v, X v> at 8 support angles start a list P, and z starts
-    at the trace center.  Each round polishes the peaks of w(X - z) =
-    max_theta h(theta) - Re(e^{i theta} z), adds every boundary point it
-    evaluates to P, and takes the larger of the best peak and max |p - z| over
-    P as the value at z.  P lies in W(X), so the radius of the smallest circle
-    around P is a lower bound: once the value is within 1e-11 of it,
-    relatively, z and the value are returned; otherwise z moves to the
-    circle's center.  Deterministic.  Raises ``ConvergenceError`` if the
-    exchange hits its round cap.
+    The support values h are sampled once at ``boundary_k`` angles.  From the
+    trace center, ``geometry._exchange`` takes as farthest points at z the
+    boundary points <v, X v> evaluated in polishing the peaks of w(X - z) =
+    max_theta h(theta) - Re(e^{i theta} z), until w(X - z) is within 1e-11 of
+    its lower bound, relatively.  Raises ``ConvergenceError`` at its round cap.
     """
     a = require_square(x)
     theta = _angles(boundary_k)
@@ -407,13 +387,15 @@ def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]
         return complex(a[0, 0]), 0.0
     shift, scale, b = _normalise(a)
     h, phase = _support(b, theta), np.exp(1j * theta)
-    points, z = list(numerical_range(b, 8).boundary_points), 0j
-    for _ in range(100):  # far above the 16 rounds seen on a stress set up to d = 16
+
+    def farthest(z: complex) -> tuple[float, list]:
+        points = []
         best = _refine_peaks(b, theta, h - (phase * z).real, z, xatol=1e-7, points=points)
-        val = max(best, float(np.abs(np.array(points) - z).max()))
-        circle = enclosing_circle(points)
-        if val - circle.radius <= 1e-11 * val:
-            return shift + scale * z, scale * val
-        z = circle.center
-    raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
-                           f"value {scale * val!r}, lower bound {scale * circle.radius!r}")
+        points.sort(key=lambda p: -abs(p - z))
+        return max(best, abs(points[0] - z)), [(p, 0.0, None) for p in points]
+
+    z, value, disc, done = _exchange(farthest, 0j, 1e-11, 100)  # 22 rounds at most on a stress set
+    if not done:
+        raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
+                               f"value {scale * value!r}, lower bound {scale * disc.radius!r}")
+    return shift + scale * z, scale * value

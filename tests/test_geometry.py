@@ -318,6 +318,39 @@ def test_enclosing_circle_and_max_variance_are_scale_covariant():
             assert np.abs(scaled - probs).max() <= 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_spreads():
+    # numpy divides a complex array by a subnormal real through its
+    # reciprocal, which overflows: two points a subnormal distance apart
+    # still give their midpoint, half their distance and equal weights, to
+    # the few digits a subnormal carries
+    for pts in ([1e-300, 1e-300 + 1e-316j], [1e-300, 1e-300 * (1 + 2**-40)]):
+        pts = np.array(pts, dtype=np.complex128)
+        mid, half = 0.5 * (pts[0] + pts[1]), 0.5 * abs(pts[1] - pts[0])
+        circ = enclosing_circle(pts)
+        assert abs(circ.center - mid) <= 1e-6 * half and abs(circ.radius - half) <= 1e-6 * half
+        probs, _ = max_variance_distribution(pts)
+        assert np.abs(probs - 0.5).max() <= 1e-6
+        for p in (2.0, math.inf):
+            z, val = two_largest_radius(pts, p)
+            assert abs(z - mid) <= 1e-6 * half and abs(val - half) <= 1e-6 * half
+
+
+def test_enclosing_circle_of_large_sets():
+    # Gaussian sets, points on one circle, and the quarter-step lattice,
+    # whose four corners are cocircular
+    for n in (1024, 4096):
+        rng = np.random.default_rng([311, n])
+        side = math.isqrt(n)
+        lattice = (np.arange(side)[:, None] + 1j * np.arange(side)[None, :]).ravel() / 4
+        for pts in (linalg.random_point_set(n, rng), np.exp(2j * math.pi * rng.uniform(size=n)), lattice):
+            circ = enclosing_circle(pts)
+            _, ref = two_largest_radius(pts, math.inf)
+            assert abs(circ.radius - ref) <= 1e-12 * ref
+            assert np.abs(pts - circ.center).max() <= circ.radius * (1.0 + 1e-12)
+            assert 1 <= len(_smallest_disc(pts, np.zeros(n))[2]) <= 3
+
+
 def test_two_largest_radius_examples():
     z, val = two_largest_radius([0.0, 1.0], 2.0)
     assert_allclose([z.real, z.imag, val], [0.5, 0.0, 0.5], atol=1e-7)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from matvar import geometry, linalg, radii
-from matvar.geometry import Circle, enclosing_circle
+from matvar.geometry import enclosing_circle
 from matvar.norms import NormSpec, norm
 
 SQ2 = math.sqrt(2.0)
@@ -423,7 +423,7 @@ def test_central_numerical_radius_is_the_enclosing_radius_of_the_range():
 
 def test_central_numerical_radius_round_cap(monkeypatch):
     # a lower bound that never closes the gap ends in ConvergenceError, not a hang
-    monkeypatch.setattr(radii, "enclosing_circle", lambda points: Circle(0j, 0.0))
+    monkeypatch.setattr(geometry, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
     with pytest.raises(radii.ConvergenceError, match="100-round cap"):
         radii.central_numerical_radius(linalg.ginibre(3, np.random.default_rng(422)))
 
@@ -461,7 +461,7 @@ def test_radius_eigensolve_budget(monkeypatch, make, seed):
 
 def test_radius_round_cap(monkeypatch):
     # a model disc that never takes in the new points ends in ConvergenceError, not a hang
-    monkeypatch.setattr(radii, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
+    monkeypatch.setattr(geometry, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
     with pytest.raises(radii.ConvergenceError, match="round cap"):
         radii.radius(linalg.ginibre(3, np.random.default_rng(423)), "C")
 
