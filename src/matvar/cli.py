@@ -164,7 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_nr = csub.add_parser("numrange", help="numerical radius, or membership of a point")
     add_common(p_nr)
-    p_nr.add_argument("--angles", type=int, default=360)
+    p_nr.add_argument("--angles", type=int, default=360,
+                      help="support angles of the membership test and the --json sample; for "
+                           "the numerical radius they only seed the polish, whose value the "
+                           "level-set test certifies")
     p_nr.add_argument("--z", type=_complex_pair, default=None,
                       help="test membership of the point RE,IM instead")
 

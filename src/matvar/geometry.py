@@ -66,10 +66,16 @@ def _divide(z: np.ndarray, s: float) -> np.ndarray:
 
 def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, np.ndarray]:
     # the centroid, the largest distance from it (at least floor) and the points
-    # about it in that unit, whose squared lengths neither underflow nor overflow
-    centroid = complex(points.mean())
-    scale = max(float(np.abs(points - centroid).max()), floor)
-    return centroid, scale, _divide(points - centroid, scale or 1.0)
+    # about it in that unit, whose squared lengths neither underflow nor overflow.
+    # The mean and the spread are taken in a power-of-two unit near the largest
+    # part, so their sums do not overflow either
+    top = max(float(np.abs(points.real).max()), float(np.abs(points.imag).max()))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    rel = _divide(points, unit)
+    mean = complex(rel.mean())
+    rel = rel - mean
+    scale = max(float(np.abs(rel).max()) * unit, floor)
+    return mean * unit, scale, _divide(rel, scale / unit or 1.0)
 
 
 def variance(points, probs) -> float:

@@ -17,6 +17,8 @@ one supporting half plane and one boundary point.
 
 ``radius`` and ``central_numerical_radius`` are smallest-disc problems,
 solved by the farthest-point exchange ``geometry._exchange``.
+``numerical_radius`` is certified by the level-set test of Mengi and Overton,
+which proves that no support value reaches a given level.
 Inputs are shifted by trace/d and scaled by their largest entry first, and
 the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
@@ -91,16 +93,31 @@ def _normalise(a: np.ndarray) -> tuple[complex, float, np.ndarray]:
     return shift, scale, b / scale
 
 
+def _rotated(a: np.ndarray, theta) -> np.ndarray:
+    # Re(e^{i theta} X) = (e^{i theta} X + e^{-i theta} X*) / 2, stacked over theta
+    phase = np.exp(1j * np.asarray(theta))[..., None, None]
+    return 0.5 * (phase * a + np.conj(phase) * a.conj().T)
+
+
 def _support(a: np.ndarray, theta, vectors: bool = False):
     """Support function of W(X) in the direction e^{-i theta}: the top
-    eigenvalue of Re(e^{i theta} X) = (e^{i theta} X + e^{-i theta} X*) / 2,
-    for one angle or an array of them, with the top eigenvectors if asked."""
-    phase = np.exp(1j * np.asarray(theta))[..., None, None]
-    stack = 0.5 * (phase * a + np.conj(phase) * a.conj().T)
+    eigenvalue of Re(e^{i theta} X), for one angle or an array of them, with
+    the top eigenvectors if asked."""
     if not vectors:
-        return np.linalg.eigvalsh(stack)[..., -1]
-    w, v = np.linalg.eigh(stack)
+        return np.linalg.eigvalsh(_rotated(a, theta))[..., -1]
+    w, v = np.linalg.eigh(_rotated(a, theta))
     return w[..., -1], v[..., -1]
+
+
+def _support_grid(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k equispaced angles and the support values at them.  For even k
+    half the eigensolves give every value: Re(e^{i (theta + pi)} X) is
+    -Re(e^{i theta} X), so h(theta + pi) = -lam_min(Re(e^{i theta} X))."""
+    theta = _angles(k)
+    if k % 2:
+        return theta, _support(a, theta)
+    w = np.linalg.eigvalsh(_rotated(a, theta[: k // 2]))
+    return theta, np.concatenate((w[:, -1], -w[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +329,42 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
 
 def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     """Support-function membership test: z is in W(X) exactly when
-    Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)).  The margin may
-    fall short of 0 by 1e-8 times the largest |lam_max|."""
+    Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)), here checked at
+    ``angles`` equispaced phi (half as many eigensolves for an even count).
+    The margin may fall short of 0 by 1e-8 times the largest |lam_max|."""
     a = require_square(x)
-    theta = _angles(angles)
-    h = _support(a, theta)
+    theta, h = _support_grid(a, angles)
     margin = float((h - (np.exp(1j * theta) * complex(z)).real).min())
     return Membership(margin >= -1e-8 * float(np.abs(h).max()), margin)
+
+
+def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
+            xatol: float, points: list) -> float:
+    """Secant steps towards a local maximum of theta -> h(theta) -
+    Re(e^{i theta} shift) from t, kept in [lo, hi], until a step is below
+    ``xatol``; return the largest value seen.
+
+    For a top eigenvector v and w = e^{i theta} (<v, X v> - shift), the
+    value is Re w and the slope -Im w (Hellmann-Feynman).  The first step,
+    theta - arg w, is exact where the boundary point <v, X v> stays put (a
+    corner of W(X)).  Every boundary point evaluated is appended to ``points``.
+    """
+    best, last = -math.inf, None
+    for _ in range(32):
+        v = _support(a, t, vectors=True)[1]
+        p = complex(np.vdot(v, a @ v))
+        points.append(p)
+        w = np.exp(1j * t) * (p - shift)
+        best = max(best, float(w.real))
+        if last is None or w.imag == last[1]:
+            step = -math.atan2(w.imag, w.real)
+        else:  # the root of the slope -Im w is the root of Im w
+            step = -w.imag * (t - last[0]) / (w.imag - last[1])
+        last = (t, w.imag)
+        t = min(max(t + step, lo), hi)
+        if abs(t - last[0]) <= xatol:
+            break
+    return best
 
 
 def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
@@ -330,13 +376,8 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
     curves whose second derivative is at most ||X - shift|| <= 2 max g in
     size, so no angle beats the nearest grid point by more than ``slack``: a
     peak of the grid values g that far below the best value cannot win and
-    is not refined; every other peak is.  For a top eigenvector v and
-    w = e^{i theta} (<v, X v> - shift), the value is Re w and the slope
-    -Im w (Hellmann-Feynman).  Each peak is polished by secant steps on the
-    slope, within one grid spacing of it, until a step is below ``xatol``;
-    the first step, theta - arg w, is exact where the boundary point
-    <v, X v> stays put (a corner of W(X)).  Every boundary point evaluated
-    is appended to ``points``.
+    is not refined; every other peak is ``_polish``-ed within one grid
+    spacing of it.
     """
     spacing = 2.0 * math.pi / theta.size
     best = float(g.max())
@@ -346,47 +387,94 @@ def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: comple
     for j in peaks[np.argsort(g[peaks])[::-1]]:
         if g[j] < best - slack:
             break
-        t, last = float(theta[j]), None
-        for _ in range(32):
-            v = _support(a, t, vectors=True)[1]
-            p = complex(np.vdot(v, a @ v))
-            points.append(p)
-            w = np.exp(1j * t) * (p - shift)
-            best = max(best, float(w.real))
-            if last is None or w.imag == last[1]:
-                step = -math.atan2(w.imag, w.real)
-            else:  # the root of the slope -Im w is the root of Im w
-                step = -w.imag * (t - last[0]) / (w.imag - last[1])
-            last = (t, w.imag)
-            t = min(max(t + step, theta[j] - spacing), theta[j] + spacing)
-            if abs(t - last[0]) <= xatol:
-                break
+        t = float(theta[j])
+        best = max(best, _polish(a, t, t - spacing, t + spacing, shift, xatol, points))
     return best
 
 
-def numerical_radius(x, grid: int = 360) -> float:
-    """w(X) = max_theta lam_max(Re(e^{i theta} X)), grid plus local polish."""
+def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
+    """The angles theta in [0, 2 pi) at which r is an eigenvalue of
+    Re(e^{i theta} X), in increasing order; needs h(pole) < r.
+
+    The level-set test of Mengi and Overton (IMA J. Numer. Anal. 25, 2005).
+    With Y = e^{i (pole - pi)} X = H + i K, theta = pole - pi + 2 atan(s) and
+    Re(e^{i theta} X) = cos(2 atan s) H - sin(2 atan s) K, r is such an
+    eigenvalue exactly when the Hermitian pencil s^2 (H + r) + 2 s K + (r - H)
+    is singular at a real s.  H + r = L L* is positive definite because
+    -lam_min(H) = h(pole) < r, so the roots s are the eigenvalues of a 2n x 2n
+    companion matrix; a root counts as real when |Im s| <= 1e-8 (1 + |s|).
+    """
+    n = a.shape[0]
+    y = -np.exp(1j * pole) * a
+    h, k = 0.5 * (y + y.conj().T), -0.5j * (y - y.conj().T)
+    li = np.linalg.inv(np.linalg.cholesky(h + r * np.eye(n)))
+    companion = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    companion[:n, n:] = np.eye(n)
+    companion[n:, :n] = -li @ (r * np.eye(n) - h) @ li.conj().T
+    companion[n:, n:] = -2.0 * li @ k @ li.conj().T
+    s = np.linalg.eigvals(companion)
+    s = s[np.abs(s.imag) <= 1e-8 * (1.0 + np.abs(s))].real
+    return np.sort((pole - math.pi + 2.0 * np.arctan(s)) % (2.0 * math.pi))
+
+
+def numerical_radius(x, grid: int = 32) -> float:
+    """w(X) = max_theta lam_max(Re(e^{i theta} X)), certified by the
+    level-set test: w(X) lies in [value, value (1 + 1e-11)].
+
+    The ``grid`` equispaced support values (from half as many eigensolves
+    for an even count) only seed the search: the top one is ``_polish``-ed,
+    and ``_level_set`` then asks whether r = value (1 + 1e-11) is attained
+    anywhere, with the pole at the smallest grid value, where H + r is best
+    conditioned.  No angle proves w(X) < r.  Otherwise h > r somewhere
+    between the angles found: each interval whose midpoint rises above r is
+    polished from that midpoint and r is tested again (criss-cross).  X is
+    scaled by a power of two first, so c X gives c w(X) to rounding.  Raises
+    ``ConvergenceError`` after 16 tests.
+    """
     a = require_square(x)
-    theta = _angles(grid)
-    return _refine_peaks(a, theta, _support(a, theta), 0j, xatol=1e-10, points=[])
+    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    b = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    theta, h = _support_grid(b, grid)
+    spacing = 2.0 * math.pi / grid
+    t = float(theta[np.argmax(h)])
+    best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, []))
+    pole = float(theta[np.argmin(h)])
+    for _ in range(16):
+        r = best * (1.0 + 1e-11)
+        cross = _level_set(b, r, pole)
+        ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
+        mids = 0.5 * (cross + ends)
+        hm = _support(b, mids)
+        if not (hm > r).any():
+            if e + math.frexp(best)[1] > 1024:
+                raise OverflowError(f"the numerical radius {best!r} * 2**{e} overflows")
+            return math.ldexp(best, e)
+        for j in np.flatnonzero(hm > r):
+            best = max(best, _polish(b, mids[j], cross[j], ends[j], 0j, 1e-10, []))
+    raise ConvergenceError("level-set test still found the value exceeded after 16 "
+                           f"criss-cross rounds; value {math.ldexp(best, e)!r}")
 
 
 def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
     center of the smallest disc containing the numerical range W(X).
 
-    The support values h are sampled once at ``boundary_k`` angles.  From the
-    trace center, ``geometry._exchange`` takes as farthest points at z the
-    boundary points <v, X v> evaluated in polishing the peaks of w(X - z) =
-    max_theta h(theta) - Re(e^{i theta} z), until w(X - z) is within 1e-11 of
-    its lower bound, relatively.  Raises ``ConvergenceError`` at its round cap.
+    The support values h are sampled once at ``boundary_k`` angles, from
+    half as many eigensolves for an even count.  From the trace center,
+    ``geometry._exchange`` takes as farthest points at z the boundary points
+    <v, X v> evaluated in polishing the peaks of w(X - z) = max_theta
+    h(theta) - Re(e^{i theta} z), until w(X - z) is within 1e-11 of its lower
+    bound, relatively.  Raises ``ConvergenceError`` at its round cap.
     """
     a = require_square(x)
-    theta = _angles(boundary_k)
     if _is_scalar_multiple_of_identity(a):
         return complex(a[0, 0]), 0.0
     shift, scale, b = _normalise(a)
-    h, phase = _support(b, theta), np.exp(1j * theta)
+    theta, h = _support_grid(b, boundary_k)
+    phase = np.exp(1j * theta)
 
     def farthest(z: complex) -> tuple[float, list]:
         points = []

@@ -336,6 +336,22 @@ def test_subnormal_spreads():
             assert abs(z - mid) <= 1e-6 * half and abs(val - half) <= 1e-6 * half
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spans_near_the_largest_float():
+    # the centroid's sum would overflow here unless taken in a smaller unit
+    big = 1.7e308
+    for pts, center, radius in (([big, 1.6e308], 1.65e308, 5e306), ([big, -big], 0.0, big),
+                                ([-big, big, 0.0, 1e308j, -1e308j], 0.0, big),
+                                ([big, -big, big * 1j], 0.0, big)):
+        pts = np.array(pts, dtype=np.complex128)
+        circ = enclosing_circle(pts)
+        assert abs(circ.center - center) <= 1e-12 * radius and abs(circ.radius - radius) <= 1e-12 * radius
+        probs, _ = max_variance_distribution(pts)
+        assert abs(np.dot(probs, pts) - center) <= 1e-12 * radius
+        for p in (2.0, math.inf):
+            assert abs(two_largest_radius(pts, p)[1] - radius) <= 1e-12 * radius
+
+
 def test_enclosing_circle_of_large_sets():
     # Gaussian sets, points on one circle, and the quarter-step lattice,
     # whose four corners are cocircular

@@ -342,6 +342,76 @@ def test_numerical_radius_of_jordan_blocks():
         assert abs(w - math.cos(math.pi / (d + 1))) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_numerical_radius_eigensolve_budget(monkeypatch, d):
+    # a flat support function has no peak to polish: the top grid angle is
+    # polished once and the level-set test certifies it at once
+    jordan = np.eye(d, k=1, dtype=np.complex128)
+    assert _count_eigh(monkeypatch, radii.numerical_radius, jordan) <= 9
+
+
+def test_level_set_crossings():
+    # above w(X) no angle reaches r; below it, every angle returned is a
+    # crossing of the support function.  W(J_d) is a disc, so h is flat and
+    # no level below w(J_d) is ever crossed: a Jordan block is tested above only
+    for d in (2, 3, 5, 8):
+        rng = np.random.default_rng([432, d])
+        jordan = np.eye(d, k=1, dtype=np.complex128)
+        for x in (linalg.ginibre(d, rng), linalg.random_normal_matrix(d, rng),
+                  linalg.random_hermitian(d, rng), jordan):
+            w = radii.numerical_radius(x, grid=4096)
+            theta, h = radii._support_grid(x, 64)
+            pole = float(theta[np.argmin(h)])
+            assert radii._level_set(x, w * (1.0 + 1e-9), pole).size == 0
+            if x is not jordan:
+                r = w * (1.0 - 1e-6)
+                cross = radii._level_set(x, r, pole)
+                assert cross.size >= 2
+                assert np.abs(radii._support(x, cross) - r).max() <= 1e-9 * r
+
+
+def test_numerical_radius_criss_cross(monkeypatch):
+    # a normal X whose largest eigenvalue lies between the directions of an
+    # 8-angle grid, behind a smaller one on a grid direction: the polished
+    # grid peak is too low, and the level-set test finds the way to the top
+    tests = []
+    level_set = radii._level_set
+
+    def counted(*args):
+        tests.append(None)
+        return level_set(*args)
+
+    monkeypatch.setattr(radii, "_level_set", counted)
+    for s in range(12):
+        rng = np.random.default_rng([431, s])
+        k, m = rng.integers(0, 8, 2)
+        lam = np.array([np.exp(-0.25j * math.pi * k), 1.05 * np.exp(-0.125j * math.pi * (2 * m + 1)),
+                        0.5, -0.5j])
+        u = linalg.random_unitary(4, rng)
+        x = (u * lam) @ u.conj().T + 1e-3 * linalg.ginibre(4, rng)
+        ref = radii.numerical_radius(x, grid=4096)
+        tests.clear()
+        w = radii.numerical_radius(x, grid=8)
+        assert len(tests) >= 2
+        assert abs(w - ref) <= 1e-12 * ref
+    # and on seeded Ginibre inputs the coarse and fine grids agree
+    for s in range(20):
+        x = linalg.ginibre(int(2 + s % 7), np.random.default_rng([433, s]))
+        ref = radii.numerical_radius(x, grid=4096)
+        for grid in (8, 9, 32):
+            assert abs(radii.numerical_radius(x, grid=grid) - ref) <= 1e-12 * ref
+
+
+def test_numerical_radius_scale_sweep():
+    for d in (2, 5, 9):
+        rng = np.random.default_rng([434, d])
+        for x in (linalg.ginibre(d, rng), linalg.random_normal_matrix(d, rng),
+                  linalg.random_hermitian(d, rng), np.eye(d, k=1, dtype=np.complex128)):
+            base = radii.numerical_radius(x)
+            for c in 10.0 ** np.arange(-300, 301, 50):
+                assert abs(radii.numerical_radius(c * x) / c - base) <= 1e-12 * base
+
+
 def test_square_root_trace_concavity():
     # sqrt((Tr rho A)^2 + (Tr rho B)^2) <= Tr[rho sqrt(A^2 + B^2)]
     for trial in range(40):
