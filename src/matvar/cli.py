@@ -173,8 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_wr = csub.add_parser("wradius", help="radius of the smallest disk containing the numerical range")
     add_common(p_wr)
-    p_wr.add_argument("--angles", type=int, default=1024,
-                      help="number of support angles sampled around the numerical range")
+    p_wr.add_argument("--angles", type=int, default=64,
+                      help="support angles sampled around the numerical range; they only seed "
+                           "the exchange, whose value the level-set test certifies")
 
     p_cb = csub.add_parser("commutator-bounds", help="evaluate commutator norm bounds on a pair")
     p_cb.add_argument("--x", required=True, help="matrix JSON file for X")

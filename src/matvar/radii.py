@@ -17,8 +17,9 @@ one supporting half plane and one boundary point.
 
 ``radius`` and ``central_numerical_radius`` are smallest-disc problems,
 solved by the farthest-point exchange ``geometry._exchange``.
-``numerical_radius`` is certified by the level-set test of Mengi and Overton,
-which proves that no support value reaches a given level.
+``numerical_radius`` and ``central_numerical_radius`` are certified by the
+level-set test of Mengi and Overton, which proves that no support value
+reaches a given level.
 Inputs are shifted by trace/d and scaled by their largest entry first, and
 the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _exchange
+from .geometry import ConvergenceError, _divide, _exchange
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -90,7 +91,7 @@ def _normalise(a: np.ndarray) -> tuple[complex, float, np.ndarray]:
     shift = complex(np.trace(a)) / a.shape[0]
     b = a - shift * np.eye(a.shape[0])
     scale = float(np.abs(b).max())
-    return shift, scale, b / scale
+    return shift, scale, _divide(b, scale)
 
 
 def _rotated(a: np.ndarray, theta) -> np.ndarray:
@@ -290,7 +291,7 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
         return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, None)]
 
-    y, value, disc, done = _exchange(farthest, 0j, 0.0, 500)  # 51 rounds at most on a stress set
+    y, value, disc, done = _exchange(farthest, 0j, 0.0, 500)  # 50 rounds at most on a stress set
     if not done:
         raise ConvergenceError("radius exchange hit its 500-round cap; value "
                                f"{scale * value!r}, lower bound {scale * disc.radius!r}")
@@ -417,18 +418,41 @@ def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     return np.sort((pole - math.pi + 2.0 * np.arctan(s)) % (2.0 * math.pi))
 
 
+def _certify(b: np.ndarray, z: complex, best: float, pole: float, points: list) -> tuple[float, bool]:
+    """One level-set test of w(B - z) < r at r = best (1 + 1e-11), with the
+    pole where h(pole) - Re(e^{i pole} z) < r; return the best value and
+    whether the test proved it.
+
+    No crossing angle proves w(B - z) < r.  Otherwise the support function
+    of B - z exceeds r somewhere between the angles found: each interval whose
+    midpoint rises above r is ``_polish``-ed from that midpoint, every
+    boundary point evaluated is appended to ``points``, and the largest
+    value, above r, is returned (criss-cross).
+    """
+    r = best * (1.0 + 1e-11)
+    a = b - z * np.eye(b.shape[0]) if z else b  # no copy at z = 0
+    cross = _level_set(a, r, pole)
+    if cross.size == 0:
+        return best, True
+    ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
+    mids = 0.5 * (cross + ends)
+    hm = _support(a, mids)
+    for j in np.flatnonzero(hm > r):
+        best = max(best, _polish(b, mids[j], cross[j], ends[j], z, 1e-10, points))
+    return best, not (hm > r).any()
+
+
 def numerical_radius(x, grid: int = 32) -> float:
     """w(X) = max_theta lam_max(Re(e^{i theta} X)), certified by the
     level-set test: w(X) lies in [value, value (1 + 1e-11)].
 
     The ``grid`` equispaced support values (from half as many eigensolves
     for an even count) only seed the search: the top one is ``_polish``-ed,
-    and ``_level_set`` then asks whether r = value (1 + 1e-11) is attained
+    and ``_certify`` then asks whether r = value (1 + 1e-11) is attained
     anywhere, with the pole at the smallest grid value, where H + r is best
-    conditioned.  No angle proves w(X) < r.  Otherwise h > r somewhere
-    between the angles found: each interval whose midpoint rises above r is
-    polished from that midpoint and r is tested again (criss-cross).  X is
-    scaled by a power of two first, so c X gives c w(X) to rounding.  Raises
+    conditioned.  No angle proves w(X) < r; otherwise the intervals above r
+    are polished and r is tested again (criss-cross).  X is scaled by a
+    power of two first, so c X gives c w(X) to rounding.  Raises
     ``ConvergenceError`` after 16 tests.
     """
     a = require_square(x)
@@ -443,31 +467,33 @@ def numerical_radius(x, grid: int = 32) -> float:
     best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, []))
     pole = float(theta[np.argmin(h)])
     for _ in range(16):
-        r = best * (1.0 + 1e-11)
-        cross = _level_set(b, r, pole)
-        ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
-        mids = 0.5 * (cross + ends)
-        hm = _support(b, mids)
-        if not (hm > r).any():
+        best, certified = _certify(b, 0j, best, pole, [])
+        if certified:
             if e + math.frexp(best)[1] > 1024:
                 raise OverflowError(f"the numerical radius {best!r} * 2**{e} overflows")
             return math.ldexp(best, e)
-        for j in np.flatnonzero(hm > r):
-            best = max(best, _polish(b, mids[j], cross[j], ends[j], 0j, 1e-10, []))
     raise ConvergenceError("level-set test still found the value exceeded after 16 "
                            f"criss-cross rounds; value {math.ldexp(best, e)!r}")
 
 
-def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]:
+def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
-    center of the smallest disc containing the numerical range W(X).
+    center of the smallest disc containing the numerical range W(X),
+    certified: w(X - z) lies in [value, value (1 + 1e-11)], and value is
+    within 1e-11, relatively, of the smallest disc around some points of
+    W(X), a lower bound.
 
-    The support values h are sampled once at ``boundary_k`` angles, from
-    half as many eigensolves for an even count.  From the trace center,
-    ``geometry._exchange`` takes as farthest points at z the boundary points
-    <v, X v> evaluated in polishing the peaks of w(X - z) = max_theta
-    h(theta) - Re(e^{i theta} z), until w(X - z) is within 1e-11 of its lower
-    bound, relatively.  Raises ``ConvergenceError`` at its round cap.
+    The support values h sampled at ``boundary_k`` angles (from half as many
+    eigensolves for an even count) only seed the search.  From the trace
+    center, ``geometry._exchange`` takes as farthest points at z the
+    boundary points <v, X v> evaluated in polishing the peaks of
+    w(X - z) = max_theta h(theta) - Re(e^{i theta} z), until that value is
+    within 1e-11 of the disc, relatively.  ``_certify`` then tests the best z
+    by the level-set test, with the pole at the smallest recentred grid
+    value.  If it finds a higher level, the points it polished join every
+    later farthest list and the exchange resumes from z.  Raises
+    ``ConvergenceError`` at the exchange's round cap or after 16 failed
+    certifications.
     """
     a = require_square(x)
     if _is_scalar_multiple_of_identity(a):
@@ -475,15 +501,23 @@ def central_numerical_radius(x, boundary_k: int = 1024) -> tuple[complex, float]
     shift, scale, b = _normalise(a)
     theta, h = _support_grid(b, boundary_k)
     phase = np.exp(1j * theta)
+    found = []  # boundary points polished by failed certifications
 
     def farthest(z: complex) -> tuple[float, list]:
-        points = []
+        points = list(found)
         best = _refine_peaks(b, theta, h - (phase * z).real, z, xatol=1e-7, points=points)
         points.sort(key=lambda p: -abs(p - z))
         return max(best, abs(points[0] - z)), [(p, 0.0, None) for p in points]
 
-    z, value, disc, done = _exchange(farthest, 0j, 1e-11, 100)  # 22 rounds at most on a stress set
-    if not done:
-        raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
-                               f"value {scale * value!r}, lower bound {scale * disc.radius!r}")
-    return shift + scale * z, scale * value
+    z = 0j
+    for _ in range(16):
+        z, value, disc, done = _exchange(farthest, z, 1e-11, 100)  # 14 rounds at most on a stress set
+        if not done:
+            raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
+                                   f"value {scale * value!r}, lower bound {scale * disc.radius!r}")
+        pole = float(theta[np.argmin(h - (phase * z).real)])
+        value, certified = _certify(b, z, value, pole, found)
+        if certified:
+            return shift + scale * z, scale * value
+    raise ConvergenceError("level-set test still found w(X - z) exceeded after 16 "
+                           f"certifications; value {scale * value!r}, lower bound {scale * disc.radius!r}")

@@ -19,7 +19,7 @@ from matvar.cli import (
     save_matrix,
 )
 from matvar.linalg import ginibre
-from matvar.radii import ConvergenceError
+from matvar.radii import ConvergenceError, central_numerical_radius
 
 
 @pytest.fixture()
@@ -109,6 +109,19 @@ def test_compute_json_outputs(fixtures, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["value"] == pytest.approx(0.5, abs=1e-6)
     assert complex(obj["center"]["re"], obj["center"]["im"]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_wradius_default_matches_the_library(tmp_path, capsys):
+    # without --angles the command prints the library's default call exactly
+    for trial in range(6):
+        rng = np.random.default_rng([602, trial])
+        x = ginibre(int(rng.integers(2, 9)), rng)
+        path = tmp_path / f"m{trial}.json"
+        save_matrix(path, x)
+        assert main(["compute", "wradius", "--json", "--input", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        z, value = central_numerical_radius(load_matrix(path))
+        assert obj == {"value": value, "center": {"re": z.real, "im": z.imag}}
 
 
 def test_commutator_bounds_cli(fixtures, capsys):

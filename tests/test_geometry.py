@@ -342,7 +342,9 @@ def test_spans_near_the_largest_float():
     big = 1.7e308
     for pts, center, radius in (([big, 1.6e308], 1.65e308, 5e306), ([big, -big], 0.0, big),
                                 ([-big, big, 0.0, 1e308j, -1e308j], 0.0, big),
-                                ([big, -big, big * 1j], 0.0, big)):
+                                ([big, -big, big * 1j], 0.0, big),
+                                # the spread from the centroid exceeds the largest float
+                                ([big, -big, -big], 0.0, big)):
         pts = np.array(pts, dtype=np.complex128)
         circ = enclosing_circle(pts)
         assert abs(circ.center - center) <= 1e-12 * radius and abs(circ.radius - radius) <= 1e-12 * radius

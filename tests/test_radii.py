@@ -188,15 +188,17 @@ def test_radius_scale_sweep():
                 res = radii.radius(c * x, kind)
                 assert abs(res.value / (c * base) - 1.0) <= 1e-10
                 assert res.gap / res.value**2 <= 1e-10
-            for c in (1e150, 1e200):
-                huge = radii.radius(c * x, kind)
-                assert abs(huge.value / (c * base) - 1.0) <= 1e-10
+            # the squares under- or overflow here, and so does the gap
+            for c in (1e-300, 1e-310, 1e150, 1e200):
+                extreme = radii.radius(c * x, kind)
+                assert abs(extreme.value / (c * base) - 1.0) <= 1e-10
 
 
 def test_central_numerical_radius_scale_sweep():
+    # down to subnormal inputs, whose scale has no finite reciprocal
     for x in _scale_sweep_inputs():
         _, base = radii.central_numerical_radius(x)
-        for c in SCALES:
+        for c in SCALES + (1e-300, 1e-310):
             _, val = radii.central_numerical_radius(c * x)
             assert abs(val / (c * base) - 1.0) <= 1e-10
 
@@ -408,7 +410,7 @@ def test_numerical_radius_scale_sweep():
         for x in (linalg.ginibre(d, rng), linalg.random_normal_matrix(d, rng),
                   linalg.random_hermitian(d, rng), np.eye(d, k=1, dtype=np.complex128)):
             base = radii.numerical_radius(x)
-            for c in 10.0 ** np.arange(-300, 301, 50):
+            for c in np.append(1e-310, 10.0 ** np.arange(-300, 301, 50)):
                 assert abs(radii.numerical_radius(c * x) / c - base) <= 1e-12 * base
 
 
@@ -451,10 +453,22 @@ def test_central_numerical_radius_below_cartesian_radius():
         assert rw <= radii.numerical_radius(x) + 1e-9
 
 
+def _recentred_level_set_above(x, z, w) -> bool:
+    # whether the level-set test finds w(X - z) above w (1 + 1e-11): an
+    # interval between its angles whose midpoint rises above that level
+    a = x - z * np.eye(x.shape[0])
+    r = w * (1.0 + 1e-11)
+    theta, h = radii._support_grid(a, 64)
+    cross = radii._level_set(a, r, float(theta[np.argmin(h)]))
+    mids = 0.5 * (cross + np.append(cross[1:], cross[:1] + 2.0 * math.pi))
+    return bool((radii._support(a, mids) > r).any())
+
+
 def test_central_numerical_radius_certificate():
     # the returned value is w(X - z) itself, recomputed independently on a
-    # fine grid, and repeatable bit for bit.  It is never above the Cartesian
-    # radius by more than the exchange's stopping tolerance, 1e-11 relative:
+    # fine grid, certified by the level-set test, and repeatable bit for bit.
+    # It is never above the Cartesian radius by more than the exchange's
+    # stopping tolerance, 1e-11 relative:
     # for a normal X both are the radius of the eigenvalues' enclosing circle
     for d in (2, 3, 4, 8, 16):
         for make in (linalg.ginibre, linalg.random_normal_matrix):
@@ -462,6 +476,7 @@ def test_central_numerical_radius_certificate():
             z, w = radii.central_numerical_radius(x)
             ref = radii.numerical_radius(x - z * np.eye(d), grid=4096)
             assert abs(w - ref) <= 1e-12 * ref
+            assert not _recentred_level_set_above(x, z, w)
             assert w <= radii.radius(x, "C").value * (1.0 + 1e-11)
             assert radii.central_numerical_radius(x) == (z, w)
 
@@ -489,6 +504,59 @@ def test_central_numerical_radius_is_the_enclosing_radius_of_the_range():
         _, w = radii.central_numerical_radius(x)
         sample = radii.numerical_range(x, 1024).boundary_points
         assert w >= enclosing_circle(sample).radius * (1.0 - 1e-12)
+
+
+def test_central_numerical_radius_resumes_after_failed_certification(monkeypatch):
+    # on these seeded inputs an 8-angle grid misses a peak of w(X - z): the
+    # level-set test finds it, and the exchange resumes with its points
+    exchanges = []
+    exchange = radii._exchange
+
+    def counted(*args):
+        exchanges.append(None)
+        return exchange(*args)
+
+    monkeypatch.setattr(radii, "_exchange", counted)
+    for s in (4, 24, 27, 33, 34, 45, 55):
+        rng = np.random.default_rng([435, s])
+        d = 2 + s % 7
+        x = linalg.ginibre(d, rng) if s % 2 == 0 else \
+            linalg.random_normal_matrix(d, rng) + 1e-3 * linalg.ginibre(d, rng)
+        ref = radii.central_numerical_radius(x)[1]
+        exchanges.clear()
+        z, w = radii.central_numerical_radius(x, boundary_k=8)
+        assert len(exchanges) >= 2
+        assert abs(w - ref) <= 1e-11 * ref
+        assert not _recentred_level_set_above(x, z, w)
+
+
+def test_central_numerical_radius_certification_cap(monkeypatch):
+    # a level-set test that always reports a higher level ends in
+    # ConvergenceError after 16 certifications, not a hang
+    support = radii._support
+    monkeypatch.setattr(radii, "_level_set", lambda a, r, pole: np.array([0.5, 2.0]))
+    monkeypatch.setattr(radii, "_support", lambda a, theta, vectors=False:
+                        support(a, theta, vectors) if vectors else support(a, theta) + 1.0)
+    with pytest.raises(radii.ConvergenceError, match="16 certifications"):
+        radii.central_numerical_radius(linalg.ginibre(3, np.random.default_rng(437)))
+
+
+def test_exchange_keeps_only_the_support(monkeypatch):
+    # Welzl's step is handed the at most three points that fix the disc, never
+    # every point taken so far
+    sizes = []
+    one_fixed = geometry._circle_one_fixed
+
+    def recorded(points, p):
+        sizes.append(len(points))
+        return one_fixed(points, p)
+
+    monkeypatch.setattr(geometry, "_circle_one_fixed", recorded)
+    pts = np.exp(2j * math.pi * np.random.default_rng(438).uniform(size=4096))
+    assert abs(geometry.enclosing_circle(pts).radius - 1.0) <= 1e-12
+    for d in (3, 8):
+        radii.central_numerical_radius(linalg.ginibre(d, np.random.default_rng([439, d])))
+    assert sizes and max(sizes) <= 3
 
 
 def test_central_numerical_radius_round_cap(monkeypatch):
@@ -520,6 +588,14 @@ def test_central_numerical_radius_eigensolve_budget(monkeypatch, make, seed):
     # support function, a few top eigenvectors each, and few rounds are needed
     x = make(8, np.random.default_rng(seed))
     assert _count_eigh(monkeypatch, radii.central_numerical_radius, x) <= 150
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_central_numerical_radius_eigensolve_budget_on_jordan_blocks(monkeypatch, d):
+    # h is flat on a disc, so every grid angle is a peak: a coarse grid keeps
+    # the polish short, and the level-set test certifies the trace center
+    jordan = np.eye(d, k=1, dtype=np.complex128)
+    assert _count_eigh(monkeypatch, radii.central_numerical_radius, jordan) <= 60
 
 
 @pytest.mark.parametrize("make, seed", BUDGET_INPUTS)
