@@ -100,8 +100,10 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
 
 
 # A weighted point is a tuple (b, c, i): a complex mean b, a weight c >= 0 and
-# its index i in a finite set, or None.  Its power at a center y is
-# sqrt(|y - b|^2 + c); a disc holds it when that power is at most its radius.
+# a tag i that the exchange carries along unread: the point's index in a
+# finite set, or, for ``radii.radius``, the top eigenvector whose mean and
+# variance b and c are.  Its power at a center y is sqrt(|y - b|^2 + c); a
+# disc holds it when that power is at most its radius.
 
 
 class _Disc(NamedTuple):
@@ -259,7 +261,8 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     The maximum equals the squared radius of the smallest enclosing circle.
     It is attained by the barycentric coordinates of the circle's center in
     the at most three points that fix the circle: a distribution on them
-    whose mean is the center.
+    whose mean is the center.  Raises ``OverflowError`` when that square
+    exceeds the largest float.
     """
     pts = _as_points(points)
     center, radius, idx = _smallest_disc(pts, np.zeros(pts.size))
@@ -268,7 +271,10 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
                            np.array([0.0, 0.0, 1.0]), rcond=None)[0].clip(0.0, None)
     probs = np.zeros(pts.size)
     probs[idx] = lams / lams.sum()
-    return probs, radius * radius
+    square = radius * radius
+    if math.isinf(square):
+        raise OverflowError(f"the largest variance, the square of the radius {radius!r}, overflows")
+    return probs, square
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ Inputs are shifted by trace/d and scaled by their largest entry first, and
 the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
 witness: ``primal_value`` is the witness's variance and ``gap`` the
-distance to the squared radius.  Every result is deterministic: nothing
+distance to the squared radius, and that gap decides how far its exchange
+must run.  Every result is deterministic: nothing
 draws random numbers, and the ``restarts`` and ``seed`` arguments of
 ``radius`` are accepted and ignored.
 """
@@ -173,6 +174,15 @@ def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
         vecs.insert(j + 1, new)
         if (np.conj(normal[j]) * (np.vdot(new, b @ new) - pts[j])).real <= beyond[j]:
             break  # no point of W(B) lies past y: y is on its boundary, or beyond
+    return _polygon_hit(b, vecs, y)
+
+
+def _polygon_hit(b: np.ndarray, vecs: list, y: complex) -> np.ndarray:
+    """Unit u with <u, B u> = y in the span of the unit vectors ``vecs``,
+    whose field values run around a convex polygon (any three do): a fan
+    triangle from the first value holds y, and two segment solves land on
+    it.  If no fan triangle holds y, the nearest point of the polygon's
+    edges is hit instead."""
     pts = np.array([np.vdot(u, b @ u) for u in vecs])
     # barycentric weights of y in the fan triangles (p0, p_j+1, p_j+2)
     e1, e2, ey = pts[1:-1] - pts[0], pts[2:] - pts[0], y - pts[0]
@@ -182,8 +192,8 @@ def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
         t = (np.conj(e1) * ey).imag / det
         weights = np.stack([1.0 - s - t, s, t])
     fit = np.where(np.abs(det) > 1e-14 * np.abs(pts - pts[0]).max() ** 2, weights.min(axis=0), -np.inf)
-    j = int(np.argmax(fit))
-    if fit[j] >= -1e-12:
+    if fit.size and fit.max() >= -1e-12:
+        j = int(np.argmax(fit))
         w1, w2 = np.clip(weights[1:, j], 0.0, None)
         if w1 + w2 == 0.0:
             return vecs[0]
@@ -196,21 +206,33 @@ def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
     return _segment_hit(b, vecs[j], vecs[(j + 1) % len(vecs)], near[j])
 
 
-def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndarray]:
-    """Pure state of largest variance among candidates for both shapes of
-    optimum: for a kink, the vector of the degenerate top eigenspace of
-    |B - y|^2 whose expectation of B is y; for a smooth optimum, however
-    sharply curved, the top eigenvectors along Newton's iteration for
-    <v, B v> = y.  In the eigenbasis, with p_j = <v_j, (B - y) v>,
-    q_j = <v, (B - y) v_j> and gaps g_j, r = <v, B v> - y moves by
-    -(1 + a) dy - e conj(dy), a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum
-    2 p_j q_j / g_j.  A second pass, from the best center, keeps only the
-    eigenvectors within 1e-6 of the top, shifted by the top eigenvalue, so a
-    nearly degenerate top is resolved to the accuracy of its own split.
-    """
-    def variance(psi):
-        return float(np.vdot(psi, msq @ psi).real) - abs(np.vdot(psi, b @ psi)) ** 2
+def _variance(b: np.ndarray, msq: np.ndarray, psi: np.ndarray) -> float:
+    return float(np.vdot(psi, msq @ psi).real) - abs(np.vdot(psi, b @ psi)) ** 2
 
+
+def _kink_witness(b: np.ndarray, msq: np.ndarray, y: complex, vecs: list) -> tuple[float, np.ndarray]:
+    """The witness at a kink, and its variance: the unit u with
+    <u, B u> = y in the span of the top eigenvectors that fix the smallest
+    disc, at most three, whose field values hold its center y."""
+    u = _polygon_hit(b, vecs, y)
+    return _variance(b, msq, u), u
+
+
+def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndarray, complex]:
+    """Pure state of largest variance among candidates for both shapes of
+    optimum, with the center at which it was found: for a kink, the vector
+    of the degenerate top eigenspace of |B - y|^2 whose expectation of B is
+    y; for a smooth optimum, however sharply curved, the top eigenvectors
+    along Newton's iteration for <v, B v> = y.  In the eigenbasis, with
+    p_j = <v_j, (B - y) v>, q_j = <v, (B - y) v_j> and gaps g_j,
+    r = <v, B v> - y moves by -(1 + a) dy - e conj(dy),
+    a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum 2 p_j q_j / g_j.  A second
+    pass, from the best center, keeps only the eigenvectors within 1e-6 of
+    the top, shifted by the top eigenvalue, so a nearly degenerate top is
+    resolved to the accuracy of its own split.  A pass stops once |r| is at
+    rounding level, or once a step no longer shrinks (as at a kink, where
+    Newton cannot converge), and after 8 steps at most.
+    """
     best = (-math.inf, None, y)
     for cut in (math.inf, 1e-6):
         y = best[2]
@@ -218,23 +240,28 @@ def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndar
         top = v[:, w >= w[-1] * (1.0 - 1e-8)]
         if top.shape[1] > 1:
             u = top @ _inverse_field_value(top.conj().T @ b @ top, y)
-            best = max(best, (variance(u), u, y), key=lambda cand: cand[0])
+            best = max(best, (_variance(b, msq, u), u, y), key=lambda cand: cand[0])
         keep = w >= w[-1] - cut * abs(w[-1])
         cols, h = v[:, keep], np.diag(w[keep] - w[-1])
         c = cols.conj().T @ (b - y * np.eye(b.shape[0])) @ cols
-        delta = 0j
+        delta, last = 0j, math.inf
         for _ in range(8 if len(h) > 1 else 0):
             mu, z = _shifted_eigh(c, h, delta)
             u = cols @ z[:, -1]
-            best = max(best, (variance(u), u, y + delta), key=lambda cand: cand[0])
+            best = max(best, (_variance(b, msq, u), u, y + delta), key=lambda cand: cand[0])
             cz = z.conj().T @ c @ z
             r, p, q, g = cz[-1, -1] - delta, cz[:-1, -1], cz[-1, :-1], mu[-1] - mu[:-1]
+            split = g > 1e-13 * abs(w[-1])  # a multiple top (X direct-sum X, say): its partners do not couple
+            p, q, g = p[split], q[split], g[split]
+            if abs(r) * abs(r) <= 1e-16 * abs(w[-1]):  # the gap |r|^2 left is below rounding
+                break
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 a, e = np.sum((abs(p) ** 2 + abs(q) ** 2) / g), np.sum(2.0 * p * q / g)
-                delta += ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
-            if not np.isfinite(delta):
+                step = ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
+            if not abs(step) < last:  # also a step that is not finite
                 break
-    return best[:2]
+            delta, last = delta + step, abs(step)
+    return best
 
 
 def max_variance(x, kind: str) -> tuple[float, np.ndarray]:
@@ -269,12 +296,22 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     A unit v gives the mean b = <v, X v> and variance c = <v, |X|^2 v> - |b|^2,
     and lam_max(|X - y|^2), convex in y, is the largest |y - b|^2 + c over
     unit v, attained at a top eigenvector: ``geometry._exchange`` minimises
-    it from the trace center, to about 1e-14 relatively.  ``primal_value`` is
-    the witness's variance, a lower bound on value^2, and ``gap`` is the
-    difference; both are inf above a radius of about 1.3e154, where the
-    square overflows.  Deterministic: ``restarts`` and ``seed`` are accepted
-    and ignored.  Raises ``ConvergenceError`` if the exchange hits its
-    500-round cap.
+    it from the trace center and stops once the value is within 1e-4 of the
+    disc's radius, relatively.  ``primal_value`` is the witness's variance,
+    a lower bound on value^2, and ``gap`` is the difference.  The first of
+    three routes that brings the gap to 1e-13 value^2 or below finishes:
+
+    (a) a kink: the unit vector with mean y in the span of the top
+        eigenvectors that fix the disc (``_kink_witness``);
+    (b) a smooth optimum: ``_witness`` from y, and the value sqrt(lam_max)
+        at its best center if that is lower;
+    (c) otherwise: the exchange resumes to its end, and ``_witness`` runs
+        from there.
+
+    ``primal_value`` and ``gap`` are inf above a radius of about 1.3e154,
+    where the square overflows.  Deterministic: ``restarts`` and ``seed``
+    are accepted and ignored.  Raises ``ConvergenceError`` if an exchange
+    hits its 500-round cap.
     """
     a = require_square(x)
     if kind not in MODULUS_KINDS:
@@ -284,18 +321,37 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     shift, scale, b = _normalise(a)
     msq = modulus_squared(b, kind)
 
+    resumed = []  # the early disc's support, handed back when the exchange resumes
+
     def farthest(y: complex) -> tuple[float, list]:
         w, v = _shifted_eigh(b, msq, y)
         top = v[:, -1]
         mean = complex(np.vdot(top, b @ top))
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
-        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, None)]
+        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)] + resumed
 
-    y, value, disc, done = _exchange(farthest, 0j, 0.0, 500)  # 50 rounds at most on a stress set
-    if not done:
-        raise ConvergenceError("radius exchange hit its 500-round cap; value "
-                               f"{scale * value!r}, lower bound {scale * disc.radius!r}")
-    primal, witness = _witness(b, msq, y)
+    def exchange(y: complex, rtol: float) -> tuple[complex, float, tuple]:
+        y, value, disc, done = _exchange(farthest, y, rtol, 500)
+        if not done:
+            raise ConvergenceError("radius exchange hit its 500-round cap; value "
+                                   f"{scale * value!r}, lower bound {scale * disc.radius!r}")
+        return y, value, disc.support
+
+    def closed(value: float, primal: float) -> bool:
+        return value * value - primal <= 1e-13 * value * value
+
+    y, value, support = exchange(0j, 1e-4)  # 13 rounds at most on a stress set
+    primal, witness = _kink_witness(b, msq, y, [p[2] for p in support])  # (a) a kink
+    if not closed(value, primal):  # (b) a smooth optimum
+        primal, witness, centre = _witness(b, msq, y)
+        if centre != y:
+            at = math.sqrt(max(float(_shifted_eigh(b, msq, centre)[0][-1]), 0.0))
+            if at < value:
+                y, value = centre, at
+    if not closed(value, primal):  # (c) the whole exchange, and the witness from its end
+        resumed.extend(support)
+        y, value, _ = exchange(y, 0.0)  # 27 more rounds at most on a stress set (50 from the trace center)
+        primal, witness, _ = _witness(b, msq, y)
     return RadiusResult(kind, shift + scale * y, scale * value, scale * scale * max(primal, 0.0), witness)
 
 
@@ -319,11 +375,17 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
 
     support_values[j] is the largest eigenvalue of Re(e^{i theta_j} X) and
     boundary_points[j] = <v, X v> for the corresponding top eigenvector, a
-    point of W(X) on the supporting line.
+    point of W(X) on the supporting line.  For even k half the eigensolves
+    give every pair, as in ``_support_grid``: the bottom eigenpair of
+    Re(e^{i theta} X) is the top one at theta + pi, negated.
     """
     a = require_square(x)
     theta = _angles(k)
-    vals, top = _support(a, theta, vectors=True)
+    if k % 2:
+        vals, top = _support(a, theta, vectors=True)
+    else:
+        w, v = np.linalg.eigh(_rotated(a, theta[: k // 2]))
+        vals, top = np.concatenate((w[:, -1], -w[:, 0])), np.concatenate((v[..., -1], v[..., 0]))
     boundary = np.einsum("ki,ij,kj->k", top.conj(), a, top)
     return NumericalRangeSample(theta, vals, boundary)
 

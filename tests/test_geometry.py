@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,10 @@ def test_enclosing_circle_and_max_variance_are_scale_covariant():
         probs, _ = max_variance_distribution(pts)
         for c in (1e-300, 1e-100, 1e-14, 1e100, 1e154, 1e200, 1e300):
             assert abs(enclosing_circle(c * pts).radius / c - base) <= 1e-12 * base
+            if math.isinf(c * base * c * base):
+                with pytest.raises(OverflowError, match="square of the radius"):
+                    max_variance_distribution(c * pts)
+                continue
             scaled, _ = max_variance_distribution(c * pts)
             assert np.abs(scaled - probs).max() <= 1e-9
 
@@ -348,8 +353,9 @@ def test_spans_near_the_largest_float():
         pts = np.array(pts, dtype=np.complex128)
         circ = enclosing_circle(pts)
         assert abs(circ.center - center) <= 1e-12 * radius and abs(circ.radius - radius) <= 1e-12 * radius
-        probs, _ = max_variance_distribution(pts)
-        assert abs(np.dot(probs, pts) - center) <= 1e-12 * radius
+        # the largest variance, radius^2, is beyond the largest float
+        with pytest.raises(OverflowError, match=re.escape(f"radius {circ.radius!r}")):
+            max_variance_distribution(pts)
         for p in (2.0, math.inf):
             assert abs(two_largest_radius(pts, p)[1] - radius) <= 1e-12 * radius
 

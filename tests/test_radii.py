@@ -311,6 +311,21 @@ def test_numerical_range_boundary_consistency():
         assert np.abs(proj - sample.support_values).max() <= 1e-8 * (1 + np.abs(sample.support_values).max())
 
 
+def test_numerical_range_even_grid_matches_full_eigh():
+    # an even grid takes the boundary pairs at theta + pi from the bottom
+    # eigenpairs at theta; an odd grid keeps one eigensolve per angle
+    for trial in range(8):
+        rng = np.random.default_rng([440, trial])
+        d = int(rng.integers(2, 9))
+        for x in (linalg.ginibre(d, rng), np.eye(d, k=1) + np.diag(rng.normal(size=d))):
+            for k in (8, 9, 32, 64):
+                sample = radii.numerical_range(x, k)
+                vals, top = radii._support(x, sample.angles, vectors=True)
+                boundary = np.einsum("ki,ij,kj->k", top.conj(), x, top)
+                assert np.abs(sample.support_values - vals).max() <= 1e-13 * np.abs(vals).max()
+                assert np.abs(sample.boundary_points - boundary).max() <= 1e-13 * np.abs(boundary).max()
+
+
 def test_numerical_radius_examples():
     assert_allclose(radii.numerical_radius(E12), 0.5, atol=1e-10)
     assert_allclose(radii.numerical_radius(linalg.PAULI_Z), 1.0, atol=1e-12)
@@ -605,6 +620,18 @@ def test_radius_eigensolve_budget(monkeypatch, make, seed):
     assert _count_eigh(monkeypatch, lambda a: radii.radius(a, "C"), x) <= 90
 
 
+@pytest.mark.parametrize("make, budget", [(linalg.ginibre, 25), (linalg.random_normal_matrix, 8)])
+def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
+    # the exchange stops early and the witness finishes it: at most 19 eigh
+    # on Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), against
+    # up to 68 and 44 when the exchange ran to its end; the budgets allow
+    # about 30 % more than those maxima
+    for seed in range(4):
+        x = make(8, np.random.default_rng([441, seed]))
+        for kind in "LRC":
+            assert _count_eigh(monkeypatch, lambda a: radii.radius(a, kind), x) <= budget
+
+
 def test_radius_round_cap(monkeypatch):
     # a model disc that never takes in the new points ends in ConvergenceError, not a hang
     monkeypatch.setattr(geometry, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
@@ -627,6 +654,60 @@ def test_radius_on_structured_inputs():
                     res = radii.radius(c * x, kind)
                     assert res.gap <= 1e-13 * res.value * res.value
                     assert abs(res.value / (c * base) - 1.0) <= 1e-12
+
+
+def _stress_set():
+    # nine families: smooth optima, kinks, flat and nearly degenerate tops
+    for d in (2, 3, 5, 8, 16):
+        rng = np.random.default_rng([442, d])
+        jordan = np.eye(d, k=1, dtype=np.complex128)
+        normal = linalg.random_normal_matrix(d, rng)
+        yield from (linalg.ginibre(d, rng), normal, linalg.random_hermitian(d, rng),
+                    linalg.random_unitary(d, rng),
+                    np.outer(linalg.random_unit_vector(d, rng), linalg.random_unit_vector(d, rng).conj()),
+                    jordan, jordan + np.diag(np.arange(d)), normal + 1e-8 * linalg.ginibre(d, rng),
+                    np.kron(np.eye(2), linalg.ginibre(max(d // 2, 2), rng)))
+
+
+def test_radius_routes(monkeypatch):
+    # the exchange stops at 1e-4 and the first route that closes the gap to
+    # 1e-13 value^2 finishes: (a) the kink witness, (b) the Newton witness,
+    # (c) the whole exchange; forcing (c) gives the same value
+    taken = []
+    calls = []
+    for name in ("_kink_witness", "_witness", "_exchange"):
+        def counted(*args, _real=getattr(radii, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(radii, name, counted)
+    real_witness = radii._witness
+
+    def fallback(x, kind):
+        # routes (a) and (b) yield nothing, so the exchange must resume
+        failed = []
+
+        def witness(b, msq, y):
+            if failed:
+                return real_witness(b, msq, y)
+            failed.append(y)
+            return -math.inf, None, y
+
+        with monkeypatch.context() as m:
+            m.setattr(radii, "_kink_witness", lambda *args: (-math.inf, None))
+            m.setattr(radii, "_witness", witness)
+            return radii.radius(x, kind)
+
+    for x in _stress_set():
+        for kind in "LRC":
+            for c in (1.0, 1e-12, 1e12):
+                calls.clear()
+                res = radii.radius(c * x, kind)
+                if calls:  # not a scalar matrix
+                    taken.append("c" if calls.count("_exchange") == 2 else "b" if "_witness" in calls else "a")
+                assert res.gap <= 1e-13 * res.value * res.value
+                slow = fallback(c * x, kind)
+                assert abs(res.value - slow.value) <= 1e-14 * slow.value
+    assert set(taken) == {"a", "b", "c"}
 
 
 def test_membership_examples():
