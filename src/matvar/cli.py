@@ -183,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in "pqr":
         p_cb.add_argument(f"--{name}", type=_exponent(name), required=True)
     p_cb.add_argument("--json", action="store_true")
-    p_cb.add_argument("--tol", type=float, default=1e-9)
+    p_cb.add_argument("--tol", type=float, default=1e-9,
+                      help="relative slack a bound may fall short by and still hold (default 1e-9)")
 
     verify = sub.add_parser("verify", help="run a randomized property suite")
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)

@@ -131,7 +131,9 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     Included where their hypotheses hold: the sqrt(2) Frobenius bound
     (p = q = r = 2), the factor-2 Hoelder bound (1/p = 1/q + 1/r), the
     sharpened Frobenius chain through the Cartesian radius of Y (p = 2),
-    and the normal-Y strengthening (p = 2, Y normal).
+    and the normal-Y strengthening (p = 2, Y normal).  A bound holds when
+    it falls short of ||[X, Y]||_p by at most ``slack_tol`` times its value,
+    so the verdict does not depend on the scale of X and Y.
     """
     a, b = _pair(x, y)
     p, q, r = _holder_exponents(p, q, r)
@@ -143,7 +145,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
 
     def entry(name: str, value: float) -> BoundEntry:
         slack = value - lhs
-        return BoundEntry(name, value, slack >= -slack_tol * (1.0 + value), slack)
+        return BoundEntry(name, value, slack >= -slack_tol * value, slack)
 
     bounds: list[BoundEntry] = []
     x2 = norm(a, NormSpec.schatten(2))

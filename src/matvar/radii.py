@@ -24,8 +24,9 @@ Inputs are shifted by trace/d and scaled by their largest entry first, and
 the outputs are mapped back, so the relative accuracy does not depend on the
 scale of X.  ``radius`` certifies its value with an explicit pure-state
 witness: ``primal_value`` is the witness's variance and ``gap`` the
-distance to the squared radius, and that gap decides how far its exchange
-must run.  Every result is deterministic: nothing
+distance to the squared radius.  Its exchange stops early, and runs on to
+its end only if neither witness closes that gap.  Every result is
+deterministic: nothing
 draws random numbers, and the ``restarts`` and ``seed`` arguments of
 ``radius`` are accepted and ignored.
 """
@@ -155,28 +156,6 @@ def _segment_hit(b: np.ndarray, xa: np.ndarray, xb: np.ndarray, q: complex) -> n
     return v / np.linalg.norm(v)
 
 
-def _inverse_field_value(b: np.ndarray, y: complex) -> np.ndarray:
-    """Unit u with <u, B u> = y for y in W(B), after Carden, "A simple
-    algorithm for the inverse field of values problem", Inverse Problems 25
-    (2009).  Support points of W(B) are added across the polygon edge y lies
-    beyond until the polygon holds y; a fan triangle then holds y, and two
-    segment solves land on it.  If y lies outside W(B) by rounding, the
-    nearest point of the polygon is used instead."""
-    vecs = list(_support(b, _angles(8), vectors=True)[1])
-    for _ in range(64):
-        pts = np.array([np.vdot(u, b @ u) for u in vecs])
-        normal = 1j * (np.roll(pts, -1) - pts)  # outward: points run clockwise
-        beyond = (np.conj(normal) * (y - pts)).real
-        j = int(np.argmax(beyond))
-        if beyond[j] <= 0.0:
-            break
-        new = _support(b, -np.angle(normal[j]), vectors=True)[1]
-        vecs.insert(j + 1, new)
-        if (np.conj(normal[j]) * (np.vdot(new, b @ new) - pts[j])).real <= beyond[j]:
-            break  # no point of W(B) lies past y: y is on its boundary, or beyond
-    return _polygon_hit(b, vecs, y)
-
-
 def _polygon_hit(b: np.ndarray, vecs: list, y: complex) -> np.ndarray:
     """Unit u with <u, B u> = y in the span of the unit vectors ``vecs``,
     whose field values run around a convex polygon (any three do): a fan
@@ -218,49 +197,39 @@ def _kink_witness(b: np.ndarray, msq: np.ndarray, y: complex, vecs: list) -> tup
     return _variance(b, msq, u), u
 
 
-def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndarray, complex]:
-    """Pure state of largest variance among candidates for both shapes of
-    optimum, with the center at which it was found: for a kink, the vector
-    of the degenerate top eigenspace of |B - y|^2 whose expectation of B is
-    y; for a smooth optimum, however sharply curved, the top eigenvectors
-    along Newton's iteration for <v, B v> = y.  In the eigenbasis, with
-    p_j = <v_j, (B - y) v>, q_j = <v, (B - y) v_j> and gaps g_j,
+def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndarray, complex, float]:
+    """Pure state of largest variance along Newton's iteration for
+    <v, B v> = y, v a top eigenvector of |B - y|^2, with the center at which
+    it was found and the top eigenvalue there.  The iteration runs in the
+    full eigenbasis at y, so that eigenvalue is exactly lam_max(|B - center|^2).
+    With p_j = <v_j, (B - y) v>, q_j = <v, (B - y) v_j> and gaps g_j,
     r = <v, B v> - y moves by -(1 + a) dy - e conj(dy),
-    a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum 2 p_j q_j / g_j.  A second
-    pass, from the best center, keeps only the eigenvectors within 1e-6 of
-    the top, shifted by the top eigenvalue, so a nearly degenerate top is
-    resolved to the accuracy of its own split.  A pass stops once |r| is at
-    rounding level, or once a step no longer shrinks (as at a kink, where
-    Newton cannot converge), and after 8 steps at most.
+    a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum 2 p_j q_j / g_j.  It stops
+    once |r| is at rounding level, or once a step no longer shrinks (as at a
+    kink, where Newton cannot converge), and after 8 steps at most.
     """
-    best = (-math.inf, None, y)
-    for cut in (math.inf, 1e-6):
-        y = best[2]
-        w, v = _shifted_eigh(b, msq, y)
-        top = v[:, w >= w[-1] * (1.0 - 1e-8)]
-        if top.shape[1] > 1:
-            u = top @ _inverse_field_value(top.conj().T @ b @ top, y)
-            best = max(best, (_variance(b, msq, u), u, y), key=lambda cand: cand[0])
-        keep = w >= w[-1] - cut * abs(w[-1])
-        cols, h = v[:, keep], np.diag(w[keep] - w[-1])
-        c = cols.conj().T @ (b - y * np.eye(b.shape[0])) @ cols
-        delta, last = 0j, math.inf
-        for _ in range(8 if len(h) > 1 else 0):
-            mu, z = _shifted_eigh(c, h, delta)
-            u = cols @ z[:, -1]
-            best = max(best, (_variance(b, msq, u), u, y + delta), key=lambda cand: cand[0])
-            cz = z.conj().T @ c @ z
-            r, p, q, g = cz[-1, -1] - delta, cz[:-1, -1], cz[-1, :-1], mu[-1] - mu[:-1]
-            split = g > 1e-13 * abs(w[-1])  # a multiple top (X direct-sum X, say): its partners do not couple
-            p, q, g = p[split], q[split], g[split]
-            if abs(r) * abs(r) <= 1e-16 * abs(w[-1]):  # the gap |r|^2 left is below rounding
-                break
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                a, e = np.sum((abs(p) ** 2 + abs(q) ** 2) / g), np.sum(2.0 * p * q / g)
-                step = ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
-            if not abs(step) < last:  # also a step that is not finite
-                break
-            delta, last = delta + step, abs(step)
+    w, v = _shifted_eigh(b, msq, y)
+    h = np.diag(w - w[-1])
+    c = v.conj().T @ (b - y * np.eye(b.shape[0])) @ v
+    best = (-math.inf, None, y, float(w[-1]))
+    delta, last = 0j, math.inf
+    for _ in range(8):
+        mu, z = _shifted_eigh(c, h, delta)
+        u = v @ z[:, -1]
+        top = float(mu[-1] + w[-1])  # lam_max(|B - y - delta|^2)
+        best = max(best, (_variance(b, msq, u), u, y + delta, top), key=lambda cand: cand[0])
+        cz = z.conj().T @ c @ z
+        r, p, q, g = cz[-1, -1] - delta, cz[:-1, -1], cz[-1, :-1], mu[-1] - mu[:-1]
+        split = g > 1e-13 * abs(w[-1])  # a multiple top (X direct-sum X, say): its partners do not couple
+        p, q, g = p[split], q[split], g[split]
+        if abs(r) * abs(r) <= 1e-16 * abs(w[-1]):  # the gap |r|^2 left is below rounding
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a, e = np.sum((abs(p) ** 2 + abs(q) ** 2) / g), np.sum(2.0 * p * q / g)
+            step = ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
+        if not abs(step) < last:  # also a step that is not finite
+            break
+        delta, last = delta + step, abs(step)
     return best
 
 
@@ -296,17 +265,18 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     A unit v gives the mean b = <v, X v> and variance c = <v, |X|^2 v> - |b|^2,
     and lam_max(|X - y|^2), convex in y, is the largest |y - b|^2 + c over
     unit v, attained at a top eigenvector: ``geometry._exchange`` minimises
-    it from the trace center and stops once the value is within 1e-4 of the
-    disc's radius, relatively.  ``primal_value`` is the witness's variance,
-    a lower bound on value^2, and ``gap`` is the difference.  The first of
-    three routes that brings the gap to 1e-13 value^2 or below finishes:
+    it from the trace center.  ``primal_value`` is the witness's variance, a
+    lower bound on value^2, and ``gap`` is the difference.  One loop runs at
+    most two passes: the first stops the exchange once the value is within
+    1e-4 of the disc's radius, relatively, and the second, route (c),
+    resumes it with the first disc's support and runs it to its end.  After
+    each exchange two witnesses are tried, and the first pass whose gap is
+    1e-13 value^2 or below finishes:
 
     (a) a kink: the unit vector with mean y in the span of the top
         eigenvectors that fix the disc (``_kink_witness``);
-    (b) a smooth optimum: ``_witness`` from y, and the value sqrt(lam_max)
-        at its best center if that is lower;
-    (c) otherwise: the exchange resumes to its end, and ``_witness`` runs
-        from there.
+    (b) a smooth optimum, if (a) falls short: ``_witness`` from y, and the
+        value sqrt(lam_max) at its best center if that is lower.
 
     ``primal_value`` and ``gap`` are inf above a radius of about 1.3e154,
     where the square overflows.  Deterministic: ``restarts`` and ``seed``
@@ -321,7 +291,7 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     shift, scale, b = _normalise(a)
     msq = modulus_squared(b, kind)
 
-    resumed = []  # the early disc's support, handed back when the exchange resumes
+    resumed = []  # the first disc's support, handed back when the exchange resumes
 
     def farthest(y: complex) -> tuple[float, list]:
         w, v = _shifted_eigh(b, msq, y)
@@ -330,28 +300,24 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
         return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)] + resumed
 
-    def exchange(y: complex, rtol: float) -> tuple[complex, float, tuple]:
+    def closed(value: float, primal: float) -> bool:
+        return value * value - primal <= 1e-13 * value * value
+
+    y = 0j
+    for rtol in (1e-4, 0.0):  # at most 13 rounds, then 27 more, on a stress set (50 from the trace center)
         y, value, disc, done = _exchange(farthest, y, rtol, 500)
         if not done:
             raise ConvergenceError("radius exchange hit its 500-round cap; value "
                                    f"{scale * value!r}, lower bound {scale * disc.radius!r}")
-        return y, value, disc.support
-
-    def closed(value: float, primal: float) -> bool:
-        return value * value - primal <= 1e-13 * value * value
-
-    y, value, support = exchange(0j, 1e-4)  # 13 rounds at most on a stress set
-    primal, witness = _kink_witness(b, msq, y, [p[2] for p in support])  # (a) a kink
-    if not closed(value, primal):  # (b) a smooth optimum
-        primal, witness, centre = _witness(b, msq, y)
-        if centre != y:
-            at = math.sqrt(max(float(_shifted_eigh(b, msq, centre)[0][-1]), 0.0))
+        primal, witness = _kink_witness(b, msq, y, [p[2] for p in disc.support])  # (a) a kink
+        if not closed(value, primal):  # (b) a smooth optimum
+            primal, witness, centre, top = _witness(b, msq, y)
+            at = math.sqrt(max(top, 0.0))
             if at < value:
                 y, value = centre, at
-    if not closed(value, primal):  # (c) the whole exchange, and the witness from its end
-        resumed.extend(support)
-        y, value, _ = exchange(y, 0.0)  # 27 more rounds at most on a stress set (50 from the trace center)
-        primal, witness, _ = _witness(b, msq, y)
+        if closed(value, primal):
+            break
+        resumed.extend(disc.support)
     return RadiusResult(kind, shift + scale * y, scale * value, scale * scale * max(primal, 0.0), witness)
 
 

@@ -1,11 +1,13 @@
 """Tests for commutator bounds, witness families, and the constant search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from matvar import commutators
 from matvar.commutators import (
     commutator,
     conjectured_constant,
@@ -148,6 +150,20 @@ def test_evaluate_bounds_scale_sweep():
                 assert [e.name for e in rep.bounds] == names
                 assert abs(rep.ratio - base.ratio) <= 1e-12 * base.ratio
                 assert all(e.holds for e in rep.bounds)
+
+
+def test_evaluate_bounds_verdict_is_relative(monkeypatch):
+    # a bound a quarter too small reads VIOLATED at every scale, not only
+    # where the value exceeds 1
+    real = commutators.radius
+    monkeypatch.setattr(commutators, "radius",
+                        lambda x, kind: dataclasses.replace(real(x, kind), value=real(x, kind).value / 4))
+    rng = np.random.default_rng(507)
+    x, y = ginibre(4, rng), ginibre(4, rng)
+    for c in (1e-6, 1.0, 1e6):
+        by_name = {e.name: e for e in evaluate_bounds(c * x, c * y, 2, 2, 2).bounds}
+        assert not by_name["chain_cartesian_radius"].holds
+        assert by_name["frobenius"].holds
 
 
 def test_evaluate_bounds_exponent_validation():

@@ -167,7 +167,7 @@ def test_radius_of_normal_matrix_is_spectral_enclosing_radius():
             assert_allclose(res.value, circ.radius, atol=1e-7 * (1 + circ.radius))
             assert abs(res.y_star - circ.center) <= 1e-5 * (1 + circ.radius)
             # the top eigenspace is degenerate here, so this checks the
-            # inverse field-of-values witness
+            # kink witness
             assert res.gap / res.value**2 <= 1e-12
 
 
@@ -226,24 +226,22 @@ def test_radius_ignores_restarts_and_seed():
             assert np.array_equal(a.witness, b.witness)
 
 
-def test_inverse_field_value_hits_interior_and_boundary_targets():
-    # the witness construction for a degenerate top eigenspace: any point of
-    # W(B), on its boundary too, is the expectation of the returned vector
+def test_polygon_hit_lands_inside_on_edges_and_at_vertices():
+    # the kink witness: a point of the polygon of the field values of unit
+    # vectors, inside, on an edge or at a vertex, is the expectation of a
+    # unit vector in their span
     for trial in range(60):
         rng = np.random.default_rng([417, trial])
         m = int(rng.integers(2, 6))
         b = (linalg.ginibre(m, rng), linalg.random_normal_matrix(m, rng),
              linalg.random_hermitian(m, rng))[trial % 3]
-        u0 = linalg.random_unit_vector(m, rng)
-        _, edge = radii._support(b, rng.uniform(0.0, 2.0 * math.pi), vectors=True)
-        for y in (np.vdot(u0, b @ u0), np.vdot(edge, b @ edge), np.linalg.eigvals(b)[0]):
-            u = radii._inverse_field_value(b, complex(y))
+        vecs = list(radii._support(b, radii._angles(8), vectors=True)[1])
+        pts = np.array([np.vdot(u, b @ u) for u in vecs])
+        j = int(rng.integers(8))
+        for y in (rng.dirichlet(np.ones(8)) @ pts, 0.5 * (pts[j] + pts[(j + 1) % 8]), pts[j]):
+            u = radii._polygon_hit(b, vecs, complex(y))
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
             assert abs(np.vdot(u, b @ u) - y) <= 1e-12 * np.abs(b).max()
-    # a vertex of W(B) whose normal cone misses the first eight directions
-    b = np.exp(1j * math.pi / 8) * np.diag([1.0, -1.0, 0.05j])
-    u = radii._inverse_field_value(b, complex(b[2, 2]))
-    assert abs(np.vdot(u, b @ u) - b[2, 2]) <= 1e-12
 
 
 def test_segment_hit_with_nearly_parallel_ends():
@@ -620,16 +618,22 @@ def test_radius_eigensolve_budget(monkeypatch, make, seed):
     assert _count_eigh(monkeypatch, lambda a: radii.radius(a, "C"), x) <= 90
 
 
-@pytest.mark.parametrize("make, budget", [(linalg.ginibre, 25), (linalg.random_normal_matrix, 8)])
+@pytest.mark.parametrize("make, budget", [(linalg.ginibre, 22), (linalg.random_normal_matrix, 8)])
 def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
-    # the exchange stops early and the witness finishes it: at most 19 eigh
-    # on Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), against
-    # up to 68 and 44 when the exchange ran to its end; the budgets allow
-    # about 30 % more than those maxima
-    for seed in range(4):
+    # the exchange stops early and the witness finishes it: at most 17 eigh
+    # on Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), medians
+    # 12 and 4, against up to 68 and 44 when the exchange ran to its end; the
+    # budgets allow about 30 % more than those maxima, and the Ginibre median
+    # guard catches one spare eigensolve per call
+    counts = []
+    for seed in range(42):
         x = make(8, np.random.default_rng([441, seed]))
         for kind in "LRC":
-            assert _count_eigh(monkeypatch, lambda a: radii.radius(a, kind), x) <= budget
+            with monkeypatch.context() as m:
+                counts.append(_count_eigh(m, lambda a: radii.radius(a, kind), x))
+    assert max(counts) <= budget
+    if make is linalg.ginibre:
+        assert np.median(counts) <= 13
 
 
 def test_radius_round_cap(monkeypatch):
@@ -690,7 +694,7 @@ def test_radius_routes(monkeypatch):
             if failed:
                 return real_witness(b, msq, y)
             failed.append(y)
-            return -math.inf, None, y
+            return -math.inf, None, y, math.inf
 
         with monkeypatch.context() as m:
             m.setattr(radii, "_kink_witness", lambda *args: (-math.inf, None))
