@@ -64,16 +64,28 @@ def _divide(z: np.ndarray, s: float) -> np.ndarray:
     return z.real / s + 1j * (z.imag / s)
 
 
-def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, float, np.ndarray]:
-    # points = centroid + unit * spread * rel: the centroid, a power-of-two
-    # unit near the largest part (or floor), the largest distance from the
-    # centroid in that unit (at least floor), and the points about the
-    # centroid in units of that distance, whose squared lengths neither
-    # underflow nor overflow.  The mean and the spread stay in the unit, so
-    # neither their sums nor a spread beyond the largest float overflow
-    top = max(float(np.abs(points.real).max()), float(np.abs(points.imag).max()), floor)
+def _scaled(x: np.ndarray, floor: float = 0.0) -> tuple[float, np.ndarray]:
+    # x = unit * c, exact unless c is subnormal, unit the power of two at or below x's largest part (or floor)
+    top = max(float(np.abs(x.ravel().view(np.float64)).max()), floor)  # real and imaginary parts alike
     unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    rel = _divide(points, unit)
+    return unit, x / unit if unit >= 2.0**-1022 else _divide(x, unit)  # 1 / unit is then finite
+
+
+def _unscaled(q, unit: float, name: str):
+    # unit * q, the map back from _scaled's unit; OverflowError names q past the largest float
+    with np.errstate(over="ignore"):
+        out = q * unit
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
+    return out
+
+
+def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, float, np.ndarray]:
+    # points = centroid + unit * spread * rel, unit from _scaled and spread the
+    # largest distance from the centroid in it (at least floor): rel's squared
+    # lengths neither underflow nor overflow, and neither do the mean's sums
+    # or a spread beyond the largest float, which stay in the unit
+    unit, rel = _scaled(points, floor)
     mean = complex(rel.mean())
     rel = rel - mean
     spread = max(float(np.abs(rel).max()), floor / unit)

@@ -20,13 +20,14 @@ solved by the farthest-point exchange ``geometry._exchange``.
 ``numerical_radius`` and ``central_numerical_radius`` are certified by the
 level-set test of Mengi and Overton, which proves that no support value
 reaches a given level.
-Inputs are shifted by trace/d and scaled by their largest entry first, and
-the outputs are mapped back, so the relative accuracy does not depend on the
-scale of X.  ``radius`` certifies its value with an explicit pure-state
-witness: ``primal_value`` is the witness's variance and ``gap`` the
-distance to the squared radius.  Its exchange stops early, and runs on to
-its end only if neither witness closes that gap.  Every result is
-deterministic: nothing
+Inputs are scaled by a power of two (``geometry._scaled``), then shifted by
+trace/d, and outputs are mapped back by ``geometry._unscaled``, which raises
+``OverflowError`` naming any past the largest float; so no finite input
+overflows, and the relative accuracy does not depend on the scale of X.
+``radius`` certifies its value with an explicit pure-state witness:
+``primal_value`` is the witness's variance and ``gap`` the distance to the
+squared radius.  Its exchange stops early, and runs on to its end only if
+neither witness closes that gap.  Every result is deterministic: nothing
 draws random numbers, and the ``restarts`` and ``seed`` arguments of
 ``radius`` are accepted and ignored.
 """
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _divide, _exchange
+from .geometry import ConvergenceError, _divide, _exchange, _scaled, _unscaled
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -82,18 +83,14 @@ def quantum_variance(x, rho, kind: str) -> float:
 # shared machinery: normalisation, support function
 
 
-def _is_scalar_multiple_of_identity(a: np.ndarray) -> bool:
-    d = a.shape[0]
-    off = a - a[0, 0] * np.eye(d)
-    return float(np.abs(off).max()) <= 1e-14 * float(np.abs(a).max())
-
-
-def _normalise(a: np.ndarray) -> tuple[complex, float, np.ndarray]:
-    """X = shift + scale * B with Tr B = 0 and max |b_ij| = 1."""
-    shift = complex(np.trace(a)) / a.shape[0]
-    b = a - shift * np.eye(a.shape[0])
-    scale = float(np.abs(b).max())
-    return shift, scale, _divide(b, scale)
+def _normalise(a: np.ndarray) -> tuple[float, complex, float, np.ndarray]:
+    """X = unit (shift + scale B), Tr B = 0: X scaled by ``_scaled``, shifted,
+    and B scaled again, so that the solvers' absolute slacks see it at unit
+    size however large the shift; scale is 0 when B vanishes (to 1e-14)."""
+    unit, c = _scaled(a)
+    shift = complex(np.trace(c)) / c.shape[0]
+    b = c - shift * np.eye(c.shape[0])
+    return (unit, shift, 0.0, b) if float(np.abs(b).max()) <= 1e-14 else (unit, shift, *_scaled(b))
 
 
 def _rotated(a: np.ndarray, theta) -> np.ndarray:
@@ -112,15 +109,20 @@ def _support(a: np.ndarray, theta, vectors: bool = False):
     return w[..., -1], v[..., -1]
 
 
-def _support_grid(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k equispaced angles and the support values at them.  For even k
-    half the eigensolves give every value: Re(e^{i (theta + pi)} X) is
-    -Re(e^{i theta} X), so h(theta + pi) = -lam_min(Re(e^{i theta} X))."""
+def _support_grid(a: np.ndarray, k: int, vectors: bool = False):
+    """The k equispaced angles and the support values at them, with the top
+    eigenvectors if asked.  For even k half the eigensolves give every pair:
+    the top eigenpair of Re(e^{i (theta + pi)} X) is the bottom one at theta."""
     theta = _angles(k)
     if k % 2:
-        return theta, _support(a, theta)
-    w = np.linalg.eigvalsh(_rotated(a, theta[: k // 2]))
-    return theta, np.concatenate((w[:, -1], -w[:, 0]))
+        grid = _support(a, theta, vectors)
+    elif vectors:
+        w, v = np.linalg.eigh(_rotated(a, theta[: k // 2]))
+        grid = np.concatenate((w[:, -1], -w[:, 0])), np.concatenate((v[..., -1], v[..., 0]))
+    else:
+        w = np.linalg.eigvalsh(_rotated(a, theta[: k // 2]))
+        grid = np.concatenate((w[:, -1], -w[:, 0]))
+    return (theta, *grid) if vectors else (theta, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,8 @@ def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndar
     c = v.conj().T @ (b - y * np.eye(b.shape[0])) @ v
     best = (-math.inf, None, y, float(w[-1]))
     delta, last = 0j, math.inf
+    mu, z = w - w[-1], np.eye(b.shape[0])  # the eigenpairs of the diagonal h, at delta = 0
     for _ in range(8):
-        mu, z = _shifted_eigh(c, h, delta)
         u = v @ z[:, -1]
         top = float(mu[-1] + w[-1])  # lam_max(|B - y - delta|^2)
         best = max(best, (_variance(b, msq, u), u, y + delta, top), key=lambda cand: cand[0])
@@ -230,6 +232,7 @@ def _witness(b: np.ndarray, msq: np.ndarray, y: complex) -> tuple[float, np.ndar
         if not abs(step) < last:  # also a step that is not finite
             break
         delta, last = delta + step, abs(step)
+        mu, z = _shifted_eigh(c, h, delta)
     return best
 
 
@@ -281,14 +284,15 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     ``primal_value`` and ``gap`` are inf above a radius of about 1.3e154,
     where the square overflows.  Deterministic: ``restarts`` and ``seed``
     are accepted and ignored.  Raises ``ConvergenceError`` if an exchange
-    hits its 500-round cap.
+    hits its 500-round cap, ``OverflowError`` if the radius or center overflows.
     """
     a = require_square(x)
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    if _is_scalar_multiple_of_identity(a):
-        return RadiusResult(kind, complex(a[0, 0]), 0.0, 0.0, np.eye(a.shape[0], dtype=np.complex128)[0])
-    shift, scale, b = _normalise(a)
+    unit, shift, scale, b = _normalise(a)
+    if not scale:
+        return RadiusResult(kind, _unscaled(shift, unit, "center"), 0.0, 0.0,
+                            np.eye(a.shape[0], dtype=np.complex128)[0])
     msq = modulus_squared(b, kind)
 
     resumed = []  # the first disc's support, handed back when the exchange resumes
@@ -308,7 +312,7 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         y, value, disc, done = _exchange(farthest, y, rtol, 500)
         if not done:
             raise ConvergenceError("radius exchange hit its 500-round cap; value "
-                                   f"{scale * value!r}, lower bound {scale * disc.radius!r}")
+                                   f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
         primal, witness = _kink_witness(b, msq, y, [p[2] for p in disc.support])  # (a) a kink
         if not closed(value, primal):  # (b) a smooth optimum
             primal, witness, centre, top = _witness(b, msq, y)
@@ -318,7 +322,9 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         if closed(value, primal):
             break
         resumed.extend(disc.support)
-    return RadiusResult(kind, shift + scale * y, scale * value, scale * scale * max(primal, 0.0), witness)
+    value = _unscaled(scale * value, unit, "radius")
+    primal = unit * (scale * (unit * (scale * float(max(primal, 0.0)))))  # inf once the square overflows
+    return RadiusResult(kind, _unscaled(shift + scale * y, unit, "center"), value, primal, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +347,13 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
 
     support_values[j] is the largest eigenvalue of Re(e^{i theta_j} X) and
     boundary_points[j] = <v, X v> for the corresponding top eigenvector, a
-    point of W(X) on the supporting line.  For even k half the eigensolves
-    give every pair, as in ``_support_grid``: the bottom eigenpair of
-    Re(e^{i theta} X) is the top one at theta + pi, negated.
+    point of W(X) on the supporting line.
     """
-    a = require_square(x)
-    theta = _angles(k)
-    if k % 2:
-        vals, top = _support(a, theta, vectors=True)
-    else:
-        w, v = np.linalg.eigh(_rotated(a, theta[: k // 2]))
-        vals, top = np.concatenate((w[:, -1], -w[:, 0])), np.concatenate((v[..., -1], v[..., 0]))
-    boundary = np.einsum("ki,ij,kj->k", top.conj(), a, top)
-    return NumericalRangeSample(theta, vals, boundary)
+    unit, c = _scaled(require_square(x))
+    theta, vals, top = _support_grid(c, k, vectors=True)
+    boundary = np.einsum("ki,ij,kj->k", top.conj(), c, top)
+    return NumericalRangeSample(theta, _unscaled(vals, unit, "support values"),
+                                _unscaled(boundary, unit, "boundary points"))
 
 
 def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
@@ -361,10 +361,10 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)), here checked at
     ``angles`` equispaced phi (half as many eigensolves for an even count).
     The margin may fall short of 0 by 1e-8 times the largest |lam_max|."""
-    a = require_square(x)
-    theta, h = _support_grid(a, angles)
-    margin = float((h - (np.exp(1j * theta) * complex(z)).real).min())
-    return Membership(margin >= -1e-8 * float(np.abs(h).max()), margin)
+    unit, c = _scaled(require_square(x), max(abs(z.real), abs(z.imag)))  # z is neither lost nor overflows
+    theta, h = _support_grid(c, angles)
+    margin = float((h - (np.exp(1j * theta) * _divide(z, unit)).real).min())
+    return Membership(margin >= -1e-8 * float(np.abs(h).max()), _unscaled(margin, unit, "margin"))
 
 
 def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
@@ -446,28 +446,30 @@ def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     return np.sort((pole - math.pi + 2.0 * np.arctan(s)) % (2.0 * math.pi))
 
 
-def _certify(b: np.ndarray, z: complex, best: float, pole: float, points: list) -> tuple[float, bool]:
-    """One level-set test of w(B - z) < r at r = best (1 + 1e-11), with the
-    pole where h(pole) - Re(e^{i pole} z) < r; return the best value and
-    whether the test proved it.
+def _certify(b: np.ndarray, z: complex, best: float, pole: float, points: list) -> float:
+    """w(B - z) from a value ``best`` it attains, certified to lie in
+    [value, value (1 + 1e-11)]; h(pole) - Re(e^{i pole} z) is below ``best``.
 
-    No crossing angle proves w(B - z) < r.  Otherwise the support function
-    of B - z exceeds r somewhere between the angles found: each interval whose
-    midpoint rises above r is ``_polish``-ed from that midpoint, every
-    boundary point evaluated is appended to ``points``, and the largest
-    value, above r, is returned (criss-cross).
+    Each round is one level-set test at r = best (1 + 1e-11).  If no interval
+    between the crossing angles rises above r at its midpoint, w(B - z) < r.
+    Otherwise each that does is ``_polish``-ed from its midpoint, every
+    boundary point evaluated is appended to ``points``, and the largest value
+    is tested next (criss-cross).  Raises ``ConvergenceError`` after 16 tests.
     """
-    r = best * (1.0 + 1e-11)
     a = b - z * np.eye(b.shape[0]) if z else b  # no copy at z = 0
-    cross = _level_set(a, r, pole)
-    if cross.size == 0:
-        return best, True
-    ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
-    mids = 0.5 * (cross + ends)
-    hm = _support(a, mids)
-    for j in np.flatnonzero(hm > r):
-        best = max(best, _polish(b, mids[j], cross[j], ends[j], z, 1e-10, points))
-    return best, not (hm > r).any()
+    for _ in range(16):
+        r = best * (1.0 + 1e-11)
+        cross = _level_set(a, r, pole)
+        if cross.size == 0:
+            return best
+        ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
+        mids = 0.5 * (cross + ends)
+        above = np.flatnonzero(_support(a, mids) > r)
+        if above.size == 0:
+            return best
+        for j in above:
+            best = max(best, _polish(b, mids[j], cross[j], ends[j], z, 1e-10, points))
+    raise ConvergenceError("level-set test still found the value exceeded after 16 certifications")
 
 
 def numerical_radius(x, grid: int = 32) -> float:
@@ -475,33 +477,21 @@ def numerical_radius(x, grid: int = 32) -> float:
     level-set test: w(X) lies in [value, value (1 + 1e-11)].
 
     The ``grid`` equispaced support values (from half as many eigensolves
-    for an even count) only seed the search: the top one is ``_polish``-ed,
-    and ``_certify`` then asks whether r = value (1 + 1e-11) is attained
-    anywhere, with the pole at the smallest grid value, where H + r is best
-    conditioned.  No angle proves w(X) < r; otherwise the intervals above r
-    are polished and r is tested again (criss-cross).  X is scaled by a
-    power of two first, so c X gives c w(X) to rounding.  Raises
-    ``ConvergenceError`` after 16 tests.
+    for an even count) only seed the search: the top one is ``_polish``-ed
+    and ``_certify`` finishes, with the pole at the smallest grid value,
+    where H + r is best conditioned.  X is scaled by a power of two first,
+    so c X gives c w(X) to rounding.  Raises ``ConvergenceError`` after 16
+    tests, and ``OverflowError`` if w(X) overflows.
     """
     a = require_square(x)
-    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
-    if top == 0.0:
+    if not a.any():
         return 0.0
-    e = math.frexp(top)[1]
-    b = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    unit, b = _scaled(a)
     theta, h = _support_grid(b, grid)
     spacing = 2.0 * math.pi / grid
     t = float(theta[np.argmax(h)])
     best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, []))
-    pole = float(theta[np.argmin(h)])
-    for _ in range(16):
-        best, certified = _certify(b, 0j, best, pole, [])
-        if certified:
-            if e + math.frexp(best)[1] > 1024:
-                raise OverflowError(f"the numerical radius {best!r} * 2**{e} overflows")
-            return math.ldexp(best, e)
-    raise ConvergenceError("level-set test still found the value exceeded after 16 "
-                           f"criss-cross rounds; value {math.ldexp(best, e)!r}")
+    return _unscaled(_certify(b, 0j, best, float(theta[np.argmin(h)]), []), unit, "numerical radius")
 
 
 def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
@@ -516,17 +506,16 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     center, ``geometry._exchange`` takes as farthest points at z the
     boundary points <v, X v> evaluated in polishing the peaks of
     w(X - z) = max_theta h(theta) - Re(e^{i theta} z), until that value is
-    within 1e-11 of the disc, relatively.  ``_certify`` then tests the best z
-    by the level-set test, with the pole at the smallest recentred grid
-    value.  If it finds a higher level, the points it polished join every
-    later farthest list and the exchange resumes from z.  Raises
-    ``ConvergenceError`` at the exchange's round cap or after 16 failed
-    certifications.
+    within 1e-11 of the disc, relatively.  ``_certify`` then certifies
+    w(X - z) at the best z, with the pole at the smallest recentred grid
+    value; if that is above the exchange's value, the points it polished
+    join every later farthest list and the exchange resumes from z.  Raises
+    ``ConvergenceError`` at a cap (the exchange's, ``_certify``'s or 16
+    exchanges), and ``OverflowError`` if the radius or center overflows.
     """
-    a = require_square(x)
-    if _is_scalar_multiple_of_identity(a):
-        return complex(a[0, 0]), 0.0
-    shift, scale, b = _normalise(a)
+    unit, shift, scale, b = _normalise(require_square(x))
+    if not scale:
+        return _unscaled(shift, unit, "center"), 0.0
     theta, h = _support_grid(b, boundary_k)
     phase = np.exp(1j * theta)
     found = []  # boundary points polished by failed certifications
@@ -541,11 +530,10 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     for _ in range(16):
         z, value, disc, done = _exchange(farthest, z, 1e-11, 100)  # 14 rounds at most on a stress set
         if not done:
-            raise ConvergenceError("boundary-point exchange hit its 100-round cap; "
-                                   f"value {scale * value!r}, lower bound {scale * disc.radius!r}")
-        pole = float(theta[np.argmin(h - (phase * z).real)])
-        value, certified = _certify(b, z, value, pole, found)
-        if certified:
-            return shift + scale * z, scale * value
-    raise ConvergenceError("level-set test still found w(X - z) exceeded after 16 "
-                           f"certifications; value {scale * value!r}, lower bound {scale * disc.radius!r}")
+            raise ConvergenceError("boundary-point exchange hit its 100-round cap; value "
+                                   f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
+        if _certify(b, z, value, float(theta[np.argmin(h - (phase * z).real)]), found) == value:
+            value = _unscaled(scale * value, unit, "central numerical radius")
+            return _unscaled(shift + scale * z, unit, "center"), value
+    raise ConvergenceError("w(X - z) still exceeded the exchange's value after 16 exchanges; value "
+                           f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")

@@ -231,6 +231,26 @@ def test_cli_flag_errors(fixtures, capsys):
     assert rc == 2
 
 
+def test_compute_near_the_largest_float(tmp_path, capsys):
+    # finite inputs near the largest float are rescaled, not lost to overflow
+    t = 1.7e308
+    path = tmp_path / "near_max.json"
+    save_matrix(path, np.diag([t, -t, -t]))
+    for quantity in ("radius", "wradius"):
+        assert main(["compute", quantity, "--input", str(path)]) == 0
+        assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(t, rel=1e-11)
+    save_matrix(path, np.diag([t, -t]))
+    assert main(["compute", "numrange", "--input", str(path), "--z", "0,0"]) == 0
+    assert capsys.readouterr().out.startswith("inside")
+    # ... and results beyond it are rejected with one line and exit code 2
+    save_matrix(path, np.full((3, 3), t))
+    for quantity in ("radius", "wradius"):
+        assert main(["compute", quantity, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ") and err.endswith(" overflows\n")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc", [ConvergenceError("center search hit its cap"),
                                  OverflowError("result out of range"),
                                  np.linalg.LinAlgError("eigh did not converge")])
