@@ -113,9 +113,10 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
 
 # A weighted point is a tuple (b, c, i): a complex mean b, a weight c >= 0 and
 # a tag i that the exchange carries along unread: the point's index in a
-# finite set, or, for ``radii.radius``, the top eigenvector whose mean and
-# variance b and c are.  Its power at a center y is sqrt(|y - b|^2 + c); a
-# disc holds it when that power is at most its radius.
+# finite set, for ``radii.radius`` the top eigenvector whose mean and
+# variance b and c are, or for ``radii.central_numerical_radius`` the angle
+# at which the boundary point b supports W(X).  Its power at a center y is
+# sqrt(|y - b|^2 + c); a disc holds it when that power is at most its radius.
 
 
 class _Disc(NamedTuple):

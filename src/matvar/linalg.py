@@ -8,7 +8,11 @@ complex128 numpy arrays; no global state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .geometry import _scaled, _unscaled
 
 __all__ = [
     "as_matrix",
@@ -130,9 +134,18 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values of a rectangular matrix, descending."""
+    """Singular values of a rectangular matrix, descending.
+
+    LAPACK's SVD returns NaN once an entry's modulus passes the largest
+    float; only then is it redone on X scaled by a power of two, and
+    ``OverflowError`` names singular values past the largest float.
+    """
     a = as_matrix(x)
-    return np.linalg.svd(a, compute_uv=False)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if not math.isfinite(sv[0]):
+        unit, c = _scaled(a)
+        sv = _unscaled(np.linalg.svd(c, compute_uv=False), unit, "singular values")
+    return sv
 
 
 def psd_sqrt(h) -> np.ndarray:

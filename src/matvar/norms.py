@@ -123,13 +123,16 @@ def _p_sum(sv: np.ndarray, p: float) -> float:
         return float(sv[0])
     if p == 1.0:
         return float(sv.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.sum(sv * sv)))
-    # rescale for stability at large p
     top = float(sv[0])
+    if p == 2.0 and 1e-150 <= top <= 1e150:  # no square overflows, and none that matters underflows
+        return float(np.sqrt(np.sum(sv * sv)))
+    # rescale by the top: for stability at large p, and at p = 2 far from unit scale
     if top == 0.0:
         return 0.0
-    return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    share = float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    if math.isinf(top * share):
+        raise OverflowError(f"the norm, {top!r} times {share!r}, overflows")
+    return top * share
 
 
 def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:

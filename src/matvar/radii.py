@@ -26,8 +26,11 @@ trace/d, and outputs are mapped back by ``geometry._unscaled``, which raises
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
-squared radius.  Its exchange stops early, and runs on to its end only if
-neither witness closes that gap.  Every result is deterministic: nothing
+squared radius.  Both exchanges stop early, at 1e-4, and run on to 1e-11
+only if their finish fails: for ``radius`` neither witness closes that gap;
+for ``central_numerical_radius`` the finish on the disc's support (half the
+diameter of W(X) for two points, a settled circumcenter for three) is
+declined or not certified.  Every result is deterministic: nothing
 draws random numbers, and the ``restarts`` and ``seed`` arguments of
 ``radius`` are accepted and ignored.
 """
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _divide, _exchange, _scaled, _unscaled
+from .geometry import ConvergenceError, _divide, _exchange, _scaled, _smallest_disc, _unscaled
 from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -368,7 +371,7 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
 
 
 def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
-            xatol: float, points: list) -> float:
+            xatol: float, points: list, width: bool = False) -> float:
     """Secant steps towards a local maximum of theta -> h(theta) -
     Re(e^{i theta} shift) from t, kept in [lo, hi], until a step is below
     ``xatol``; return the largest value seen.
@@ -376,13 +379,20 @@ def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
     For a top eigenvector v and w = e^{i theta} (<v, X v> - shift), the
     value is Re w and the slope -Im w (Hellmann-Feynman).  The first step,
     theta - arg w, is exact where the boundary point <v, X v> stays put (a
-    corner of W(X)).  Every boundary point evaluated is appended to ``points``.
+    corner of W(X)).  Every boundary point evaluated is appended to
+    ``points`` with its angle, as ``(p, theta)``.  With ``width`` the
+    function is the width h(theta) + h(theta + pi) of W(X) instead: the same
+    eigensolve gives the bottom eigenvector, whose boundary point, appended
+    after the top one at theta + pi, takes the place of ``shift``.
     """
     best, last = -math.inf, None
     for _ in range(32):
-        v = _support(a, t, vectors=True)[1]
-        p = complex(np.vdot(v, a @ v))
-        points.append(p)
+        v = np.linalg.eigh(_rotated(a, t))[1]
+        p = complex(np.vdot(v[:, -1], a @ v[:, -1]))
+        points.append((p, t))
+        if width:
+            shift = complex(np.vdot(v[:, 0], a @ v[:, 0]))
+            points.append((shift, t + math.pi))
         w = np.exp(1j * t) * (p - shift)
         best = max(best, float(w.real))
         if last is None or w.imag == last[1]:
@@ -494,6 +504,41 @@ def numerical_radius(x, grid: int = 32) -> float:
     return _unscaled(_certify(b, 0j, best, float(theta[np.argmin(h)]), []), unit, "numerical radius")
 
 
+def _finish(b: np.ndarray, disc, spacing: float) -> tuple[complex, float, float] | None:
+    """The smallest disc around W(B) from the support ``(p, 0, theta)`` of an
+    exchange's ``disc``, as ``(center, value, lower)``: g_z attains value at the
+    center z, and lower is the radius of a disc around points of W(B).  Every
+    angle moves at most one grid ``spacing``; None after 8 passes.
+
+    Two points fix the disc at half the diameter of W(B), the largest width
+    h(theta) + h(theta + pi): ``_polish`` climbs it from the first point's
+    angle, and the center is the midpoint of the last top and bottom
+    boundary points, where g_z is the half-width.  Three points are polished
+    again at the disc's center, and the smallest disc of the new points is
+    the next one, until its center moves by at most 1e-13 of its radius: a
+    circumcenter moves only to second order as its points slide along the
+    boundary.  A disc that shrinks to two points takes the width route.
+    """
+    z, ends = disc.center, [(p, t) for p, _, t in disc.support]
+    for _ in range(8):
+        if len(ends) == 2:
+            t = ends[0][1]
+            pts = []
+            _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, pts, width=True)
+            (p, t), (q, _) = pts[-2:]
+            return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
+        polished = []
+        for _, t in ends:
+            pts = []
+            _polish(b, t, t - spacing, t + spacing, z, 1e-10, pts)
+            polished.append(pts[-1])
+        center, radius, idx = _smallest_disc(np.array([p for p, _ in polished]), np.zeros(len(polished)))
+        if abs(center - z) <= 1e-13 * radius:  # g at the center attains Re(e^{i t} (p - center)) at each t
+            return center, max(float((np.exp(1j * t) * (p - center)).real) for p, t in polished), radius
+        z, ends = center, [polished[i] for i in idx]
+    return None
+
+
 def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
     center of the smallest disc containing the numerical range W(X),
@@ -505,11 +550,17 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     eigensolves for an even count) only seed the search.  From the trace
     center, ``geometry._exchange`` takes as farthest points at z the
     boundary points <v, X v> evaluated in polishing the peaks of
-    w(X - z) = max_theta h(theta) - Re(e^{i theta} z), until that value is
-    within 1e-11 of the disc, relatively.  ``_certify`` then certifies
-    w(X - z) at the best z, with the pole at the smallest recentred grid
-    value; if that is above the exchange's value, the points it polished
-    join every later farthest list and the exchange resumes from z.  Raises
+    w(X - z) = max_theta h(theta) - Re(e^{i theta} z), to 1e-4 in angle,
+    until that value is within 1e-4 of the disc, relatively.  Unless it is
+    within 1e-11 already, ``_finish`` ends it on the disc's support: by the
+    width of W(X) for two points, by a settled circumcenter for three.  Its
+    center is taken if the value it attains is below the exchange's and
+    within 1e-11 of its lower bound.
+    ``_certify`` certifies w(X - z) at the center taken, with the pole at
+    the smallest recentred grid value.  If the finish is declined, or the
+    certificate finds w(X - z) above the value, the exchange resumes from z
+    and runs to 1e-11, with peaks polished to 1e-7 and the points of every
+    failed certification in every farthest list.  Raises
     ``ConvergenceError`` at a cap (the exchange's, ``_certify``'s or 16
     exchanges), and ``OverflowError`` if the radius or center overflows.
     """
@@ -518,20 +569,26 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
         return _unscaled(shift, unit, "center"), 0.0
     theta, h = _support_grid(b, boundary_k)
     phase = np.exp(1j * theta)
-    found = []  # boundary points polished by failed certifications
+    found = []  # boundary points polished by failed certifications, with their angles
 
     def farthest(z: complex) -> tuple[float, list]:
         points = list(found)
-        best = _refine_peaks(b, theta, h - (phase * z).real, z, xatol=1e-7, points=points)
-        points.sort(key=lambda p: -abs(p - z))
-        return max(best, abs(points[0] - z)), [(p, 0.0, None) for p in points]
+        best = _refine_peaks(b, theta, h - (phase * z).real, z, max(rtol, 1e-7), points)  # 1e-4, resumed 1e-7
+        points.sort(key=lambda p: -abs(p[0] - z))
+        return max(best, abs(points[0][0] - z)), [(p, 0.0, t) for p, t in points]
 
-    z = 0j
+    z, rtol = 0j, 1e-4
     for _ in range(16):
-        z, value, disc, done = _exchange(farthest, z, 1e-11, 100)  # 14 rounds at most on a stress set
+        z, value, disc, done = _exchange(farthest, z, rtol, 100)  # 6 rounds at most on a stress set, 14 resumed
         if not done:
             raise ConvergenceError("boundary-point exchange hit its 100-round cap; value "
                                    f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
+        early, rtol = rtol == 1e-4 and value - disc.radius > 1e-11 * value, 1e-11
+        if early:
+            end = _finish(b, disc, 2.0 * math.pi / boundary_k)
+            if end is None or not end[1] < value or abs(end[1] - end[2]) > 1e-11 * end[1]:
+                continue  # declined: the exchange resumes from z
+            z, value = end[:2]
         if _certify(b, z, value, float(theta[np.argmin(h - (phase * z).real)]), found) == value:
             value = _unscaled(scale * value, unit, "central numerical radius")
             return _unscaled(shift + scale * z, unit, "center"), value

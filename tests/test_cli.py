@@ -249,6 +249,12 @@ def test_compute_near_the_largest_float(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: the ") and err.endswith(" overflows\n")
         assert err.count("\n") == 1
+    save_matrix(path, np.diag([t * (1 + 1j), -t]))
+    for spec in ("schatten:inf", "schatten:2"):
+        assert main(["compute", "norm", "--input", str(path), "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the singular values") and err.endswith(" overflows\n")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc", [ConvergenceError("center search hit its cap"),

@@ -253,3 +253,32 @@ def test_cartesian_modulus_kyfan_two_domination():
             a = norm(xc, spec)
             b = norm(x, spec)
             assert a <= b + 1e-9 * (1 + b)
+
+
+NEAR_MAX = 1.7e308
+
+
+def test_schatten_norms_far_from_unit_scale():
+    # at p = 2 the squares of singular values near 1e+-200 would overflow or
+    # underflow: the top-scaled form of the other exponents takes over
+    f = linalg.f_matrix(3)  # singular values 1, 1, 0
+    for c in (1e-200, 1e200, NEAR_MAX / 2):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            assert norm(c * f, NormSpec.schatten(p)) == pytest.approx(c * 2.0 ** (1.0 / p), rel=1e-15)
+    # finite singular values whose 2-norm, sqrt(3) NEAR_MAX, is past the largest float
+    with pytest.raises(OverflowError, match="the norm"):
+        norm(np.diag([NEAR_MAX, -NEAR_MAX, -NEAR_MAX]), NormSpec.schatten(2))
+
+
+def test_singular_values_past_the_largest_float_raise_overflow_error():
+    # |1.7e308 (1 + i)| is past the largest float: LAPACK's SVD returns NaN,
+    # the SVD of the scaled matrix does not, and mapping back overflows
+    x = np.diag([NEAR_MAX * (1 + 1j), -NEAR_MAX])
+    assert np.isnan(np.linalg.svd(x, compute_uv=False)).all()
+    with pytest.raises(OverflowError, match="the singular values"):
+        linalg.singular_values(x)
+    for spec in (NormSpec.schatten(math.inf), NormSpec.schatten(2)):
+        with pytest.raises(OverflowError, match="the singular values"):
+            norm(x, spec)
+    sv = linalg.singular_values(np.diag([NEAR_MAX, -NEAR_MAX / 2]))
+    assert sv.tolist() == [NEAR_MAX, NEAR_MAX / 2]
