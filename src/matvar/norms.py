@@ -118,21 +118,25 @@ class NormSpec:
         return "gauge:" + ",".join(format(v, "g") for v in self.alpha)
 
 
-def _p_sum(sv: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(sv[0])
-    if p == 1.0:
-        return float(sv.sum())
-    top = float(sv[0])
-    if p == 2.0 and 1e-150 <= top <= 1e150:  # no square overflows, and none that matters underflows
-        return float(np.sqrt(np.sum(sv * sv)))
-    # rescale by the top: for stability at large p, and at p = 2 far from unit scale
-    if top == 0.0:
-        return 0.0
-    share = float(np.sum((sv / top) ** p)) ** (1.0 / p)
+def _times(top: float, share: float) -> float:
+    # top * share, a norm rescaled by its top singular value mapped back
     if math.isinf(top * share):
         raise OverflowError(f"the norm, {top!r} times {share!r}, overflows")
     return top * share
+
+
+def _p_sum(sv: np.ndarray, p: float) -> float:
+    if math.isinf(p):
+        return float(sv[0])
+    top = float(sv[0])
+    if p == 1.0 and top <= 1e300:  # a sum of terms up to 1e300 does not overflow
+        return float(sv.sum())
+    if p == 2.0 and 1e-150 <= top <= 1e150:  # no square overflows, and none that matters underflows
+        return float(np.sqrt(np.sum(sv * sv)))
+    # rescale by the top: for stability at large p, and far from unit scale
+    if top == 0.0:
+        return 0.0
+    return _times(top, float(np.sum((sv / top) ** p)) ** (1.0 / p))
 
 
 def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
@@ -142,7 +146,7 @@ def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
     if spec.family == "kyfan":
         if spec.k > n:
             raise ValueError(f"Ky Fan order {spec.k} exceeds the number of singular values {n}")
-        return float(sv[: spec.k].sum())
+        return _p_sum(sv[: spec.k], 1.0)
     if spec.family == "kyfanpk":
         if spec.k > n:
             raise ValueError(f"Ky Fan order {spec.k} exceeds the number of singular values {n}")
@@ -150,8 +154,10 @@ def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
     # gauge
     if len(spec.alpha) < n:
         raise ValueError(f"gauge weight vector has {len(spec.alpha)} entries, need at least {n}")
-    a = np.array(spec.alpha[:n])
-    return float(np.dot(a, sv))
+    a, top, lead = np.array(spec.alpha[:n]), float(sv[0]), spec.alpha[0]
+    if top * lead <= 1e300:  # the largest term, as weights and singular values are nonincreasing
+        return float(np.dot(a, sv))
+    return _times(top, lead * float(np.dot(a / lead, sv / top)))
 
 
 def norm(x, spec: NormSpec) -> float:

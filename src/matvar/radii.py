@@ -26,13 +26,11 @@ trace/d, and outputs are mapped back by ``geometry._unscaled``, which raises
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
-squared radius.  Both exchanges stop early, at 1e-4, and run on to 1e-11
-only if their finish fails: for ``radius`` neither witness closes that gap;
-for ``central_numerical_radius`` the finish on the disc's support (half the
-diameter of W(X) for two points, a settled circumcenter for three) is
-declined or not certified.  Every result is deterministic: nothing
-draws random numbers, and the ``restarts`` and ``seed`` arguments of
-``radius`` are accepted and ignored.
+squared radius; its exchange stops at 1e-4 unless neither witness closes
+that gap.  ``central_numerical_radius`` finishes on the smallest disc of its
+grid's boundary points, and runs its exchange only if that fails.  Every
+result is deterministic: nothing draws random numbers, and the ``restarts``
+and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -77,9 +75,10 @@ def quantum_variance(x, rho, kind: str) -> float:
     r = as_density(rho)
     if r.shape != a.shape:
         raise ValueError(f"shape mismatch: X is {a.shape}, rho is {r.shape}")
-    second = float(np.trace(r @ modulus_squared(a, kind)).real)
-    mean = complex(np.trace(r @ a))
-    return max(second - abs(mean) ** 2, 0.0)
+    unit, c = _scaled(a)  # |X|^2 neither overflows nor underflows; the variance maps back by unit^2
+    second = float(np.trace(r @ modulus_squared(c, kind)).real)
+    mean = complex(np.trace(r @ c))
+    return _unscaled(_unscaled(max(second - abs(mean) ** 2, 0.0), unit, "variance"), unit, "variance")
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +455,10 @@ def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     return np.sort((pole - math.pi + 2.0 * np.arctan(s)) % (2.0 * math.pi))
 
 
-def _certify(b: np.ndarray, z: complex, best: float, pole: float, points: list) -> float:
+def _certify(b: np.ndarray, z: complex, best: float, theta: np.ndarray, h: np.ndarray, points: list) -> float:
     """w(B - z) from a value ``best`` it attains, certified to lie in
-    [value, value (1 + 1e-11)]; h(pole) - Re(e^{i pole} z) is below ``best``.
+    [value, value (1 + 1e-11)]; the pole, where H + r is best conditioned,
+    is the angle of the smallest recentred value of B's grid ``theta``, ``h``.
 
     Each round is one level-set test at r = best (1 + 1e-11).  If no interval
     between the crossing angles rises above r at its midpoint, w(B - z) < r.
@@ -467,6 +467,7 @@ def _certify(b: np.ndarray, z: complex, best: float, pole: float, points: list) 
     is tested next (criss-cross).  Raises ``ConvergenceError`` after 16 tests.
     """
     a = b - z * np.eye(b.shape[0]) if z else b  # no copy at z = 0
+    pole = float(theta[np.argmin(h - (np.exp(1j * theta) * z).real if z else h)])
     for _ in range(16):
         r = best * (1.0 + 1e-11)
         cross = _level_set(a, r, pole)
@@ -488,8 +489,7 @@ def numerical_radius(x, grid: int = 32) -> float:
 
     The ``grid`` equispaced support values (from half as many eigensolves
     for an even count) only seed the search: the top one is ``_polish``-ed
-    and ``_certify`` finishes, with the pole at the smallest grid value,
-    where H + r is best conditioned.  X is scaled by a power of two first,
+    and ``_certify`` finishes.  X is scaled by a power of two first,
     so c X gives c w(X) to rounding.  Raises ``ConvergenceError`` after 16
     tests, and ``OverflowError`` if w(X) overflows.
     """
@@ -501,41 +501,42 @@ def numerical_radius(x, grid: int = 32) -> float:
     spacing = 2.0 * math.pi / grid
     t = float(theta[np.argmax(h)])
     best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, []))
-    return _unscaled(_certify(b, 0j, best, float(theta[np.argmin(h)]), []), unit, "numerical radius")
+    return _unscaled(_certify(b, 0j, best, theta, h, []), unit, "numerical radius")
 
 
-def _finish(b: np.ndarray, disc, spacing: float) -> tuple[complex, float, float] | None:
-    """The smallest disc around W(B) from the support ``(p, 0, theta)`` of an
-    exchange's ``disc``, as ``(center, value, lower)``: g_z attains value at the
-    center z, and lower is the radius of a disc around points of W(B).  Every
-    angle moves at most one grid ``spacing``; None after 8 passes.
+def _finish(b: np.ndarray, ends: list, z: complex, spacing: float) -> tuple[complex, float, float] | None:
+    """The smallest disc around W(B) from the two or three boundary points
+    ``ends`` that fix a disc centered at z, as ``(center, value, lower)``:
+    g_z attains value at the center z, and lower is the radius of a disc
+    around points of W(B).  Every angle moves at most one grid ``spacing``
+    from its start, which is exact at a corner of W(B); None after 8 passes.
 
-    Two points fix the disc at half the diameter of W(B), the largest width
-    h(theta) + h(theta + pi): ``_polish`` climbs it from the first point's
-    angle, and the center is the midpoint of the last top and bottom
-    boundary points, where g_z is the half-width.  Three points are polished
-    again at the disc's center, and the smallest disc of the new points is
+    Two points p, q fix the disc at half the diameter of W(B), the largest
+    width h(theta) + h(theta + pi): ``_polish`` climbs it from -arg(p - q),
+    and the center is the midpoint of the last top and bottom boundary
+    points, where g_z is the half-width.  Each of three points p is
+    polished from -arg(p - z), and the smallest disc of the new points is
     the next one, until its center moves by at most 1e-13 of its radius: a
     circumcenter moves only to second order as its points slide along the
     boundary.  A disc that shrinks to two points takes the width route.
     """
-    z, ends = disc.center, [(p, t) for p, _, t in disc.support]
     for _ in range(8):
         if len(ends) == 2:
-            t = ends[0][1]
+            t = -float(np.angle(ends[0] - ends[1]))
             pts = []
             _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, pts, width=True)
             (p, t), (q, _) = pts[-2:]
             return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
         polished = []
-        for _, t in ends:
+        for p in ends:
+            t = -float(np.angle(p - z))
             pts = []
             _polish(b, t, t - spacing, t + spacing, z, 1e-10, pts)
             polished.append(pts[-1])
         center, radius, idx = _smallest_disc(np.array([p for p, _ in polished]), np.zeros(len(polished)))
         if abs(center - z) <= 1e-13 * radius:  # g at the center attains Re(e^{i t} (p - center)) at each t
             return center, max(float((np.exp(1j * t) * (p - center)).real) for p, t in polished), radius
-        z, ends = center, [polished[i] for i in idx]
+        z, ends = center, [polished[i][0] for i in idx]
     return None
 
 
@@ -546,51 +547,51 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     within 1e-11, relatively, of the smallest disc around some points of
     W(X), a lower bound.
 
-    The support values h sampled at ``boundary_k`` angles (from half as many
-    eigensolves for an even count) only seed the search.  From the trace
-    center, ``geometry._exchange`` takes as farthest points at z the
-    boundary points <v, X v> evaluated in polishing the peaks of
-    w(X - z) = max_theta h(theta) - Re(e^{i theta} z), to 1e-4 in angle,
-    until that value is within 1e-4 of the disc, relatively.  Unless it is
-    within 1e-11 already, ``_finish`` ends it on the disc's support: by the
-    width of W(X) for two points, by a settled circumcenter for three.  Its
-    center is taken if the value it attains is below the exchange's and
-    within 1e-11 of its lower bound.
-    ``_certify`` certifies w(X - z) at the center taken, with the pole at
-    the smallest recentred grid value.  If the finish is declined, or the
-    certificate finds w(X - z) above the value, the exchange resumes from z
-    and runs to 1e-11, with peaks polished to 1e-7 and the points of every
-    failed certification in every farthest list.  Raises
-    ``ConvergenceError`` at a cap (the exchange's, ``_certify``'s or 16
-    exchanges), and ``OverflowError`` if the radius or center overflows.
+    The support values h at ``boundary_k`` angles (from half as many
+    eigensolves for an even count) give as many boundary points <v, X v>,
+    whose smallest disc is a lower bound.  The trace center is taken if max h
+    is within 1e-11 of its radius, and else ``_finish`` ends it on the
+    disc's support: by the width of W(X) for two points, by a settled
+    circumcenter for three; its center is taken if its value is within
+    1e-11 of its lower bound.  ``_certify`` certifies w(X - z) at the center
+    taken.  If the finish is declined, or the certificate finds w(X - z) above the value,
+    ``geometry._exchange`` runs from z to 1e-11, with farthest points at z
+    the boundary points evaluated in polishing the peaks of
+    w(X - z) = max_theta h(theta) - Re(e^{i theta} z) to 1e-7 in angle, and
+    the points of every failed certification.  Raises ``ConvergenceError``
+    at a cap (the exchange's, ``_certify``'s or 16 exchanges), and
+    ``OverflowError`` if the radius or center overflows.
     """
     unit, shift, scale, b = _normalise(require_square(x))
     if not scale:
         return _unscaled(shift, unit, "center"), 0.0
-    theta, h = _support_grid(b, boundary_k)
-    phase = np.exp(1j * theta)
+    theta, h, v = _support_grid(b, boundary_k, vectors=True)
+    boundary = np.einsum("ki,ij,kj->k", v.conj(), b, v)
+    z, lower, idx = _smallest_disc(boundary, np.zeros(boundary_k))
     found = []  # boundary points polished by failed certifications, with their angles
 
     def farthest(z: complex) -> tuple[float, list]:
         points = list(found)
-        best = _refine_peaks(b, theta, h - (phase * z).real, z, max(rtol, 1e-7), points)  # 1e-4, resumed 1e-7
+        best = _refine_peaks(b, theta, h - (np.exp(1j * theta) * z).real, z, 1e-7, points)
         points.sort(key=lambda p: -abs(p[0] - z))
         return max(best, abs(points[0][0] - z)), [(p, 0.0, t) for p, t in points]
 
-    z, rtol = 0j, 1e-4
-    for _ in range(16):
-        z, value, disc, done = _exchange(farthest, z, rtol, 100)  # 6 rounds at most on a stress set, 14 resumed
-        if not done:
-            raise ConvergenceError("boundary-point exchange hit its 100-round cap; value "
+    end = (0j, float(h.max()), lower)  # the trace center
+    if abs(end[1] - lower) > 1e-11 * end[1]:
+        end = _finish(b, list(boundary[idx]), z, 2.0 * math.pi / boundary_k)
+    if end is None or abs(end[1] - end[2]) > 1e-11 * end[1] or _certify(b, *end[:2], theta, h, found) != end[1]:
+        z = z if end is None else end[0]
+        for _ in range(16):
+            z, value, disc, done = _exchange(farthest, z, 1e-11, 100)  # 10 rounds at most on a stress set
+            if not done:
+                raise ConvergenceError("boundary-point exchange hit its 100-round cap; value "
+                                       f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
+            if _certify(b, z, value, theta, h, found) == value:
+                break
+        else:
+            raise ConvergenceError("w(X - z) still exceeded the exchange's value after 16 exchanges; value "
                                    f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
-        early, rtol = rtol == 1e-4 and value - disc.radius > 1e-11 * value, 1e-11
-        if early:
-            end = _finish(b, disc, 2.0 * math.pi / boundary_k)
-            if end is None or not end[1] < value or abs(end[1] - end[2]) > 1e-11 * end[1]:
-                continue  # declined: the exchange resumes from z
-            z, value = end[:2]
-        if _certify(b, z, value, float(theta[np.argmin(h - (phase * z).real)]), found) == value:
-            value = _unscaled(scale * value, unit, "central numerical radius")
-            return _unscaled(shift + scale * z, unit, "center"), value
-    raise ConvergenceError("w(X - z) still exceeded the exchange's value after 16 exchanges; value "
-                           f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
+    else:
+        z, value = end[:2]
+    value = _unscaled(scale * value, unit, "central numerical radius")
+    return _unscaled(shift + scale * z, unit, "center"), value

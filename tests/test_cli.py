@@ -255,6 +255,19 @@ def test_compute_near_the_largest_float(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: the singular values") and err.endswith(" overflows\n")
         assert err.count("\n") == 1
+    save_matrix(path, np.diag([t, -t]))
+    for spec in ("kyfan:2", "schatten:1", "gauge:1,1"):
+        assert main(["compute", "norm", "--input", str(path), "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the norm") and err.endswith(" overflows\n")
+        assert err.count("\n") == 1
+    rho = tmp_path / "rho.json"
+    save_matrix(path, np.diag([t, -t, -t]))
+    save_matrix(rho, np.eye(3) / 3.0)
+    assert main(["compute", "variance", "--kind", "C", "--input", str(path), "--rho", str(rho)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the variance") and err.endswith(" overflows\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc", [ConvergenceError("center search hit its cap"),

@@ -282,3 +282,19 @@ def test_singular_values_past_the_largest_float_raise_overflow_error():
             norm(x, spec)
     sv = linalg.singular_values(np.diag([NEAR_MAX, -NEAR_MAX / 2]))
     assert sv.tolist() == [NEAR_MAX, NEAR_MAX / 2]
+
+
+def test_sums_of_singular_values_near_the_largest_float(recwarn):
+    # Ky Fan, trace and gauge norms add singular values: near the largest
+    # float the sum is taken top-scaled, and past it raises one OverflowError
+    x = np.diag([NEAR_MAX, -NEAR_MAX])
+    for spec in (NormSpec.kyfan(2), NormSpec.schatten(1), NormSpec.weighted_gauge([1.0, 1.0])):
+        with pytest.raises(OverflowError, match="the norm"):
+            norm(x, spec)
+        assert norm(x / 4.0, spec) == NEAR_MAX / 2.0
+    assert norm(x, NormSpec.kyfan(1)) == NEAR_MAX
+    assert norm(x / 4.0, NormSpec.weighted_gauge([2.0, 1.0])) == pytest.approx(0.75 * NEAR_MAX, rel=1e-15)
+    # a large weight overflows the same way
+    with pytest.raises(OverflowError, match="the norm"):
+        norm(np.diag([1e10, 1.0]), NormSpec.weighted_gauge([1e300, 1e300]))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
