@@ -94,8 +94,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _exp_repr(p: float):
-    return "inf" if math.isinf(p) else p
+def _json_float(v: float):
+    # JSON has no infinity: an infinite exponent, or a square past the largest float, is "inf"
+    return "inf" if math.isinf(v) else v
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +234,8 @@ def _cmd_radius(args) -> int:
             "kind": res.kind,
             "value": res.value,
             "y_star": {"re": res.y_star.real, "im": res.y_star.imag},
-            "primal_value": res.primal_value,
-            "gap": res.gap,
+            "primal_value": _json_float(res.primal_value),
+            "gap": _json_float(res.gap),
             "witness": {"re": res.witness.real.tolist(),
                         "im": res.witness.imag.tolist()},
         }))
@@ -301,7 +302,7 @@ def _cmd_commutator_bounds(args) -> int:
         print(_dumps({
             "lhs": rep.lhs,
             "ratio": rep.ratio,
-            "p": _exp_repr(args.p), "q": _exp_repr(args.q), "r": _exp_repr(args.r),
+            "p": _json_float(args.p), "q": _json_float(args.q), "r": _json_float(args.r),
             "bounds": [{"name": e.name, "value": e.value,
                         "holds": e.holds, "slack": e.slack} for e in rep.bounds],
         }))
@@ -354,7 +355,7 @@ def _cmd_search(args) -> int:
         "falsification": res.falsification,
         "dims_tried": list(res.dims_tried),
         "seed": res.seed,
-        "p": _exp_repr(res.p), "q": _exp_repr(res.q), "r": _exp_repr(res.r),
+        "p": _json_float(res.p), "q": _json_float(res.q), "r": _json_float(res.r),
     }
     if res.conjectured is not None:
         obj["conjectured"] = res.conjectured

@@ -22,6 +22,8 @@ from .geometry import enclosing_circle
 from .linalg import (
     PAULI_X,
     PAULI_Z,
+    _scaled,
+    _unscaled,
     basis_matrix,
     ginibre,
     random_normal_matrix,
@@ -90,23 +92,12 @@ def proof_identity_residual(x, y) -> float:
 
 def rho_from_x(x) -> np.ndarray:
     """The density matrix (X*X + XX*) / (2 ||X||_2^2)."""
-    a = require_square(x)
-    top = float(np.abs(a).max())
-    if top == 0.0:
+    a = _scaled(require_square(x))[1]  # rho(cX) = rho(X), and no square under- or overflows
+    if not a.any():
         raise ValueError("matrix is zero; no density matrix to normalize")
-    a = a / top  # rho(cX) = rho(X): squares of tiny or huge entries would under- or overflow
     m = a.conj().T @ a + a @ a.conj().T
     m = 0.5 * (m + m.conj().T)
     return m / (2.0 * float(np.sum(np.abs(a) ** 2)))
-
-
-def _is_normal(a: np.ndarray) -> bool:
-    dev = a @ a.conj().T - a.conj().T @ a
-    return float(np.abs(dev).max()) <= 1e-12 * float(np.abs(a).max()) ** 2
-
-
-def _spectral_radius_center(a: np.ndarray) -> float:
-    return enclosing_circle(np.linalg.eigvals(a)).radius
 
 
 @dataclass(frozen=True)
@@ -132,11 +123,19 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     (p = q = r = 2), the factor-2 Hoelder bound (1/p = 1/q + 1/r), the
     sharpened Frobenius chain through the Cartesian radius of Y (p = 2),
     and the normal-Y strengthening (p = 2, Y normal).  A bound holds when
-    it falls short of ||[X, Y]||_p by at most ``slack_tol`` times its value,
-    so the verdict does not depend on the scale of X and Y.
+    it falls short of ||[X, Y]||_p by at most ``slack_tol`` times its value.
+    X and Y are first scaled by separate powers of two, so the ratio, the
+    verdicts and the bounds listed do not depend on their scale; ``lhs``,
+    values and slacks are mapped back, or raise ``OverflowError``.
     """
     a, b = _pair(x, y)
     p, q, r = _holder_exponents(p, q, r)
+    (ux, a), (uy, b) = _scaled(a), _scaled(b)
+
+    def back(v: float, name: str) -> float:  # v ux uy, overflowing only if the result does
+        if (ux < 1.0) != (uy < 1.0):  # units on opposite sides of 1: ux uy is finite
+            return _unscaled(v, ux * uy, name)
+        return _unscaled(_unscaled(v, ux, name), uy, name)
 
     comm = a @ b - b @ a
     lhs = norm(comm, NormSpec.schatten(p))
@@ -145,15 +144,15 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
 
     def entry(name: str, value: float) -> BoundEntry:
         slack = value - lhs
-        return BoundEntry(name, value, slack >= -slack_tol * value, slack)
+        return BoundEntry(name, back(value, f"{name} bound"), slack >= -slack_tol * value,
+                          back(slack, f"{name} slack"))
 
     bounds: list[BoundEntry] = []
     x2 = norm(a, NormSpec.schatten(2))
     if p == 2.0 and q == 2.0 and r == 2.0:
         bounds.append(entry("frobenius", math.sqrt(2.0) * x2 * norm(b, NormSpec.schatten(2))))
     if abs(_inv(p) - _inv(q) - _inv(r)) <= 1e-12:
-        bounds.append(entry("holder", 2.0 * norm(a, NormSpec.schatten(q))
-                            * norm(b, NormSpec.schatten(r))))
+        bounds.append(entry("holder", 2.0 * denom))
     if p == 2.0:
         if x2 > 0.0:
             var = quantum_variance(b, rho_from_x(a), "C")
@@ -163,10 +162,11 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
                             * norm(b, NormSpec.kyfanpk(2, 2))))
         bounds.append(entry("chain_schatten", 2.0 ** max(0.5, 1.0 - _inv(p)) * x2
                             * norm(b, NormSpec.schatten(p))))
-        if _is_normal(b):
-            bounds.append(entry("normal_radius", 2.0 * x2 * _spectral_radius_center(b)))
+        normal = float(np.abs(b @ b.conj().T - b.conj().T @ b).max()) <= 1e-12 * float(np.abs(b).max()) ** 2
+        if normal:
+            bounds.append(entry("normal_radius", 2.0 * x2 * enclosing_circle(np.linalg.eigvals(b)).radius))
             bounds.append(entry("normal_kyfan_two", x2 * norm(b, NormSpec.kyfan(2))))
-    return BoundReport(lhs, bounds, ratio)
+    return BoundReport(back(lhs, "commutator norm"), bounds, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import _divide, _scaled
+
 __all__ = [
     "Circle",
     "ConvergenceError",
@@ -57,27 +59,6 @@ def _as_probs(probs, n: int) -> np.ndarray:
     if abs(s - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {s!r}, not 1")
     return p / s
-
-
-def _divide(z: np.ndarray, s: float) -> np.ndarray:
-    # z / s part by part: numpy divides by a real through its reciprocal, inf at a subnormal s
-    return z.real / s + 1j * (z.imag / s)
-
-
-def _scaled(x: np.ndarray, floor: float = 0.0) -> tuple[float, np.ndarray]:
-    # x = unit * c, exact unless c is subnormal, unit the power of two at or below x's largest part (or floor)
-    top = max(float(np.abs(x.ravel().view(np.float64)).max()), floor)  # real and imaginary parts alike
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    return unit, x / unit if unit >= 2.0**-1022 else _divide(x, unit)  # 1 / unit is then finite
-
-
-def _unscaled(q, unit: float, name: str):
-    # unit * q, the map back from _scaled's unit; OverflowError names q past the largest float
-    with np.errstate(over="ignore"):
-        out = q * unit
-    if not np.isfinite(out).all():
-        raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
-    return out
 
 
 def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, float, np.ndarray]:

@@ -3,7 +3,8 @@
 Eigendecompositions of Hermitian matrices, singular values, the three matrix
 moduli (left, right, Cartesian), Cartesian decomposition, a handful of fixed
 matrices, and seeded random ensembles.  Everything operates on plain
-complex128 numpy arrays; no global state.
+complex128 numpy arrays; no global state.  The power-of-two scaling every
+other module uses, ``_scaled`` and its map back ``_unscaled``, lives here.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .geometry import _scaled, _unscaled
 
 __all__ = [
     "as_matrix",
@@ -111,6 +110,31 @@ def as_unit_vector(x, tol: float = 1e-12) -> np.ndarray:
     if abs(n - 1.0) > tol:
         raise ValueError(f"vector norm {n!r} is not 1 within {tol:.1e}")
     return v
+
+
+# ---------------------------------------------------------------------------
+# power-of-two scaling
+
+
+def _divide(z: np.ndarray, s: float) -> np.ndarray:
+    # z / s part by part: numpy divides by a real through its reciprocal, inf at a subnormal s
+    return z.real / s + 1j * (z.imag / s)
+
+
+def _scaled(x: np.ndarray, floor: float = 0.0) -> tuple[float, np.ndarray]:
+    # x = unit * c, exact unless c is subnormal, unit the power of two at or below x's largest part (or floor)
+    top = max(float(np.abs(x.ravel().view(np.float64)).max()), floor)  # real and imaginary parts alike
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return unit, x / unit if unit >= 2.0**-1022 else _divide(x, unit)  # 1 / unit is then finite
+
+
+def _unscaled(q, unit: float, name: str):
+    # unit * q, the map back from _scaled's unit; OverflowError names q past the largest float
+    with np.errstate(over="ignore"):
+        out = q * unit
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
+    return out
 
 
 # ---------------------------------------------------------------------------

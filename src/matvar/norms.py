@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, f_matrix, singular_values
+from .linalg import _scaled, _unscaled, f_matrix, require_square, singular_values
 
 __all__ = ["NormSpec", "norm", "vector_norm", "f_ratio_bounds"]
 
@@ -118,13 +118,6 @@ class NormSpec:
         return "gauge:" + ",".join(format(v, "g") for v in self.alpha)
 
 
-def _times(top: float, share: float) -> float:
-    # top * share, a norm rescaled by its top singular value mapped back
-    if math.isinf(top * share):
-        raise OverflowError(f"the norm, {top!r} times {share!r}, overflows")
-    return top * share
-
-
 def _p_sum(sv: np.ndarray, p: float) -> float:
     if math.isinf(p):
         return float(sv[0])
@@ -136,7 +129,7 @@ def _p_sum(sv: np.ndarray, p: float) -> float:
     # rescale by the top: for stability at large p, and far from unit scale
     if top == 0.0:
         return 0.0
-    return _times(top, float(np.sum((sv / top) ** p)) ** (1.0 / p))
+    return _unscaled(float(np.sum((sv / top) ** p)) ** (1.0 / p), top, "norm")
 
 
 def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
@@ -157,7 +150,7 @@ def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
     a, top, lead = np.array(spec.alpha[:n]), float(sv[0]), spec.alpha[0]
     if top * lead <= 1e300:  # the largest term, as weights and singular values are nonincreasing
         return float(np.dot(a, sv))
-    return _times(top, lead * float(np.dot(a / lead, sv / top)))
+    return _unscaled(lead * float(np.dot(a / lead, sv / top)), top, "norm")
 
 
 def norm(x, spec: NormSpec) -> float:
@@ -178,17 +171,16 @@ def f_ratio_bounds(x, spec: NormSpec) -> tuple[float, float, float]:
     """(lower, ratio, upper) where ratio = norm(X)/norm(diag(1,1,0,...)).
 
     For every unitarily invariant norm the ratio sits between half the
-    Ky Fan 2-norm of X and max(spectral norm, half trace norm).
+    Ky Fan 2-norm of X and max(spectral norm, half trace norm).  All three
+    are taken on X scaled by a power of two and mapped back together.
     """
-    a = as_matrix(x)
-    d = min(a.shape)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    unit, c = _scaled(require_square(x))
+    d = c.shape[0]
     if d < 2:
         raise ValueError("ratio bounds need dimension at least 2")
-    sv = singular_values(a)
+    sv = singular_values(c)
     denom = _evaluate(singular_values(f_matrix(d)), spec)
     ratio = _evaluate(sv, spec) / denom
     lower = 0.5 * float(sv[0] + sv[1])
     upper = max(float(sv[0]), 0.5 * float(sv.sum()))
-    return lower, ratio, upper
+    return tuple(_unscaled(np.array([lower, ratio, upper]), unit, "ratio bounds").tolist())

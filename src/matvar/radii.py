@@ -20,8 +20,8 @@ solved by the farthest-point exchange ``geometry._exchange``.
 ``numerical_radius`` and ``central_numerical_radius`` are certified by the
 level-set test of Mengi and Overton, which proves that no support value
 reaches a given level.
-Inputs are scaled by a power of two (``geometry._scaled``), then shifted by
-trace/d, and outputs are mapped back by ``geometry._unscaled``, which raises
+Inputs are scaled by a power of two (``linalg._scaled``), then shifted by
+trace/d, and outputs are mapped back by ``linalg._unscaled``, which raises
 ``OverflowError`` naming any past the largest float; so no finite input
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _divide, _exchange, _scaled, _smallest_disc, _unscaled
-from .linalg import MODULUS_KINDS, as_density, modulus_squared, require_square
+from .geometry import ConvergenceError, _exchange, _smallest_disc
+from .linalg import MODULUS_KINDS, _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
 
 __all__ = [
     "RadiusResult",

@@ -270,6 +270,56 @@ def test_compute_near_the_largest_float(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+NEAR_MAX = 1.7e308
+EXTREME_INPUTS = {
+    "near_max": np.diag([NEAR_MAX, -NEAR_MAX, -NEAR_MAX]),
+    "nilpotent": np.array([[0.0, NEAR_MAX], [0.0, 0.0]]),
+    "subnormal": 1e-310 * np.array([[1, 2], [3, 4j]]),
+    "past_max": np.diag([NEAR_MAX * (1 + 1j), -NEAR_MAX]),
+}
+ORDINARY_PARTNERS = {2: np.array([[1, 2], [3, 4j]]), 3: np.array([[1, 2, 0], [3, 4j, 0], [0, 0, 5]])}
+COMPUTE_COMMANDS = [
+    *[("norm", "--input", "X", "--spec", spec)
+      for spec in ("schatten:1", "schatten:2", "schatten:inf", "kyfan:2", "gauge:1,0.5,0.25")],
+    *[("radius", "--input", "X", "--kind", kind) for kind in ("L", "R", "C")],
+    ("variance", "--input", "X", "--rho", "RHO"),
+    ("numrange", "--input", "X"),
+    ("numrange", "--input", "X", "--z", "0.5,-0.5"),
+    ("wradius", "--input", "X"),
+    ("commutator-bounds", "--x", "X", "--y", "X", "--p", "2", "--q", "2", "--r", "2"),
+    ("commutator-bounds", "--x", "X", "--y", "Y", "--p", "2", "--q", "2", "--r", "2"),
+]
+
+
+def _finite_numbers(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_finite_numbers(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_numbers(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(EXTREME_INPUTS))
+@pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=" ".join)
+def test_every_compute_command_on_extreme_inputs(tmp_path, capsys, command, name):
+    # a finite input far from unit scale gives finite output, or one line
+    # naming the result past the largest float and exit code 2; never a
+    # RuntimeWarning or a traceback
+    x = EXTREME_INPUTS[name]
+    d = x.shape[0]
+    files = {"X": tmp_path / "x.json", "Y": tmp_path / "y.json", "RHO": tmp_path / "rho.json"}
+    for key, matrix in (("X", x), ("Y", ORDINARY_PARTNERS[d]), ("RHO", np.eye(d) / d)):
+        save_matrix(files[key], matrix)
+    rc = main(["compute", *(str(files.get(a, a)) for a in command), "--json"])
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert err == "" and _finite_numbers(json.loads(out))
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: the ") and err.endswith(" overflows\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc", [ConvergenceError("center search hit its cap"),
                                  OverflowError("result out of range"),
                                  np.linalg.LinAlgError("eigh did not converge")])

@@ -79,6 +79,7 @@ def test_cauchy_schwarz_step():
         assert rhs - lhs >= -1e-10 * (1.0 + rhs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rho_from_x_examples():
     npt.assert_allclose(rho_from_x(PAULI_X), np.eye(2) / 2.0, atol=1e-15)
     npt.assert_allclose(rho_from_x(E12), np.eye(2) / 2.0, atol=1e-15)
@@ -87,8 +88,11 @@ def test_rho_from_x_examples():
         rho_from_x(np.zeros((3, 3)))
     for trial in range(50):
         rng = np.random.default_rng([503, trial])
-        rho = rho_from_x(ginibre(int(rng.integers(2, 9)), rng))
+        g = ginibre(int(rng.integers(2, 9)), rng)
+        rho = rho_from_x(g)
         as_density(rho)  # Hermitian, PSD, unit trace
+        # rho(cX) = rho(X), also where the squares of cX's entries underflow
+        npt.assert_allclose(rho_from_x(1e-310 * g), rho, atol=1e-12)
 
 
 def test_evaluate_bounds_pauli_equality():
@@ -136,7 +140,9 @@ def test_evaluate_bounds_zero_x():
 def test_evaluate_bounds_scale_sweep():
     # every gate is relative: scaling either argument, or both, keeps the
     # bounds reported, the ratio and every verdict.  A non-normal 1e-8 Y once
-    # passed as normal, and its normal_radius bound read VIOLATED
+    # passed as normal, and its normal_radius bound read VIOLATED; at 1e-200
+    # the commutator norm underflowed, and X near the largest float with a
+    # tiny Y overflowed although every bound is finite
     for s in range(20):
         rng = np.random.default_rng([506, s])
         d = 2 + s % 4
@@ -144,12 +150,14 @@ def test_evaluate_bounds_scale_sweep():
         y = ginibre(d, rng) if s % 2 else random_normal_matrix(d, rng)
         base = evaluate_bounds(x, y, 2, 2, 2)
         names = [e.name for e in base.bounds]
-        for c in (1e-12, 1e-8, 1e8):
-            for rep in (evaluate_bounds(c * x, y, 2, 2, 2), evaluate_bounds(x, c * y, 2, 2, 2),
-                        evaluate_bounds(c * x, c * y, 2, 2, 2)):
-                assert [e.name for e in rep.bounds] == names
-                assert abs(rep.ratio - base.ratio) <= 1e-12 * base.ratio
-                assert all(e.holds for e in rep.bounds)
+        scales = (1e-12, 1e-8, 1e8, 1e-200)
+        pairs = [(c * x, y) for c in scales] + [(x, c * y) for c in scales] + [(c * x, c * y) for c in scales]
+        pairs.append((1.7e308 * (x / float(np.abs(x.view(np.float64)).max())), 1e-300 * y))
+        for xs, ys in pairs:
+            rep = evaluate_bounds(xs, ys, 2, 2, 2)
+            assert [e.name for e in rep.bounds] == names
+            assert abs(rep.ratio - base.ratio) <= 1e-12 * base.ratio
+            assert all(e.holds and math.isfinite(e.value) for e in rep.bounds)
 
 
 def test_evaluate_bounds_verdict_is_relative(monkeypatch):

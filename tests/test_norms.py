@@ -297,4 +297,9 @@ def test_sums_of_singular_values_near_the_largest_float(recwarn):
     # a large weight overflows the same way
     with pytest.raises(OverflowError, match="the norm"):
         norm(np.diag([1e10, 1.0]), NormSpec.weighted_gauge([1e300, 1e300]))
+    # the ratio bounds add singular values too, in X's power-of-two unit
+    for spec in (NormSpec.schatten(math.inf), NormSpec.schatten(1), NormSpec.kyfan(2)):
+        assert f_ratio_bounds(x, spec) == (NEAR_MAX, NEAR_MAX, NEAR_MAX)
+    with pytest.raises(OverflowError, match="the ratio bounds"):
+        f_ratio_bounds(np.diag([NEAR_MAX, -NEAR_MAX, -NEAR_MAX]), NormSpec.schatten(1))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
