@@ -5,7 +5,7 @@ of bounded real samples, and one farthest-point exchange, ``_exchange``, for
 the smallest disc around points b_i with additive weights c_i >= 0,
 min_y max_i |y - b_i|^2 + c_i.  Over a finite set with every weight 0 it
 gives the smallest enclosing circle and the variance-maximizing distribution;
-``radii`` runs it over states and over the numerical range.  ``_minimise_2d``,
+``radii.radius`` runs it over states.  ``_minimise_2d``,
 an ellipsoid method, finds the center minimizing the power mean of the two
 largest distances.
 """
@@ -94,9 +94,8 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
 
 # A weighted point is a tuple (b, c, i): a complex mean b, a weight c >= 0 and
 # a tag i that the exchange carries along unread: the point's index in a
-# finite set, for ``radii.radius`` the top eigenvector whose mean and
-# variance b and c are, or for ``radii.central_numerical_radius`` the angle
-# at which the boundary point b supports W(X).  Its power at a center y is
+# finite set, or for ``radii.radius`` the top eigenvector whose mean and
+# variance b and c are.  Its power at a center y is
 # sqrt(|y - b|^2 + c); a disc holds it when that power is at most its radius.
 
 

@@ -9,6 +9,7 @@ other module uses, ``_scaled`` and its map back ``_unscaled``, lives here.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -130,11 +131,16 @@ def _scaled(x: np.ndarray, floor: float = 0.0) -> tuple[float, np.ndarray]:
 
 def _unscaled(q, unit: float, name: str):
     # unit * q, the map back from _scaled's unit; OverflowError names q past the largest float
-    with np.errstate(over="ignore"):
+    if type(q) is float or type(q) is complex:  # a Python scalar overflows to inf without a warning
         out = q * unit
-    if not np.isfinite(out).all():
-        raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
-    return out
+        if cmath.isfinite(out):
+            return out
+    else:
+        with np.errstate(over="ignore"):
+            out = q * unit
+        if np.isfinite(out).all():
+            return out
+    raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
 
 
 # ---------------------------------------------------------------------------

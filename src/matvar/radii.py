@@ -15,8 +15,10 @@ state.  The numerical range W(X) is sampled by support directions: for each
 angle the top eigenpair of the Hermitian part of a rotated copy of X yields
 one supporting half plane and one boundary point.
 
-``radius`` and ``central_numerical_radius`` are smallest-disc problems,
-solved by the farthest-point exchange ``geometry._exchange``.
+``radius`` and ``central_numerical_radius`` are smallest-disc problems:
+the first over states, solved by the farthest-point exchange
+``geometry._exchange``, the second over boundary points of W(X), solved in
+rounds of a finish and a certificate.
 ``numerical_radius`` and ``central_numerical_radius`` are certified by the
 level-set test of Mengi and Overton, which proves that no support value
 reaches a given level.
@@ -28,7 +30,7 @@ overflows, and the relative accuracy does not depend on the scale of X.
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
 squared radius; its exchange stops at 1e-4 unless neither witness closes
 that gap.  ``central_numerical_radius`` finishes on the smallest disc of its
-grid's boundary points, and runs its exchange only if that fails.  Every
+grid's boundary points, and adds the points a failed certificate finds.  Every
 result is deterministic: nothing draws random numbers, and the ``restarts``
 and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
@@ -405,31 +407,6 @@ def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
     return best
 
 
-def _refine_peaks(a: np.ndarray, theta: np.ndarray, g: np.ndarray, shift: complex,
-                  xatol: float, points: list) -> float:
-    """Sharpen the local maxima of theta -> h(theta) - Re(e^{i theta} shift);
-    return the largest value.
-
-    The function is the maximum over unit v of Re(e^{i theta} <v, (X - shift) v>),
-    curves whose second derivative is at most ||X - shift|| <= 2 max g in
-    size, so no angle beats the nearest grid point by more than ``slack``: a
-    peak of the grid values g that far below the best value cannot win and
-    is not refined; every other peak is ``_polish``-ed within one grid
-    spacing of it.
-    """
-    spacing = 2.0 * math.pi / theta.size
-    best = float(g.max())
-    slack = 0.5 * spacing**2 * best
-    ring = np.concatenate((g[-1:], g, g[:1]))
-    peaks = np.flatnonzero((g >= ring[:-2]) & (g >= ring[2:]))
-    for j in peaks[np.argsort(g[peaks])[::-1]]:
-        if g[j] < best - slack:
-            break
-        t = float(theta[j])
-        best = max(best, _polish(a, t, t - spacing, t + spacing, shift, xatol, points))
-    return best
-
-
 def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     """The angles theta in [0, 2 pi) at which r is an eigenvalue of
     Re(e^{i theta} X), in increasing order; needs h(pole) < r.
@@ -504,12 +481,14 @@ def numerical_radius(x, grid: int = 32) -> float:
     return _unscaled(_certify(b, 0j, best, theta, h, []), unit, "numerical radius")
 
 
-def _finish(b: np.ndarray, ends: list, z: complex, spacing: float) -> tuple[complex, float, float] | None:
+def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
+            found: list) -> tuple[complex, float, float] | None:
     """The smallest disc around W(B) from the two or three boundary points
     ``ends`` that fix a disc centered at z, as ``(center, value, lower)``:
     g_z attains value at the center z, and lower is the radius of a disc
     around points of W(B).  Every angle moves at most one grid ``spacing``
     from its start, which is exact at a corner of W(B); None after 8 passes.
+    Every boundary point evaluated is appended to ``found`` with its angle.
 
     Two points p, q fix the disc at half the diameter of W(B), the largest
     width h(theta) + h(theta + pi): ``_polish`` climbs it from -arg(p - q),
@@ -523,16 +502,14 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float) -> tuple[comp
     for _ in range(8):
         if len(ends) == 2:
             t = -float(np.angle(ends[0] - ends[1]))
-            pts = []
-            _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, pts, width=True)
-            (p, t), (q, _) = pts[-2:]
+            _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, found, width=True)
+            (p, t), (q, _) = found[-2:]
             return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
         polished = []
         for p in ends:
             t = -float(np.angle(p - z))
-            pts = []
-            _polish(b, t, t - spacing, t + spacing, z, 1e-10, pts)
-            polished.append(pts[-1])
+            _polish(b, t, t - spacing, t + spacing, z, 1e-10, found)
+            polished.append(found[-1])
         center, radius, idx = _smallest_disc(np.array([p for p, _ in polished]), np.zeros(len(polished)))
         if abs(center - z) <= 1e-13 * radius:  # g at the center attains Re(e^{i t} (p - center)) at each t
             return center, max(float((np.exp(1j * t) * (p - center)).real) for p, t in polished), radius
@@ -548,50 +525,42 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     W(X), a lower bound.
 
     The support values h at ``boundary_k`` angles (from half as many
-    eigensolves for an even count) give as many boundary points <v, X v>,
-    whose smallest disc is a lower bound.  The trace center is taken if max h
-    is within 1e-11 of its radius, and else ``_finish`` ends it on the
-    disc's support: by the width of W(X) for two points, by a settled
-    circumcenter for three; its center is taken if its value is within
-    1e-11 of its lower bound.  ``_certify`` certifies w(X - z) at the center
-    taken.  If the finish is declined, or the certificate finds w(X - z) above the value,
-    ``geometry._exchange`` runs from z to 1e-11, with farthest points at z
-    the boundary points evaluated in polishing the peaks of
-    w(X - z) = max_theta h(theta) - Re(e^{i theta} z) to 1e-7 in angle, and
-    the points of every failed certification.  Raises ``ConvergenceError``
-    at a cap (the exchange's, ``_certify``'s or 16 exchanges), and
-    ``OverflowError`` if the radius or center overflows.
+    eigensolves for an even count) give the first boundary points <v, X v>.
+    Each round takes the smallest disc of the points so far and a center z:
+    in the first round the trace center, valued max h, if that is within
+    1e-11 of the radius; else ``_finish``'s center and value, by the width of
+    W(X) for two support points and a settled circumcenter for three, if
+    within 1e-11 of its own lower bound; else the disc's center, valued at
+    the largest recentred grid value.  ``_certify`` raises the value to
+    w(X - z), and the round returns once it is within 1e-11 of the lower
+    bound; else every boundary point it and the finish polished joins the
+    set (at the disc's center a value above the radius comes from a point
+    outside the disc).  Raises ``ConvergenceError`` at a cap (``_certify``'s
+    or 16 rounds), and ``OverflowError`` if the radius or center overflows.
     """
     unit, shift, scale, b = _normalise(require_square(x))
     if not scale:
         return _unscaled(shift, unit, "center"), 0.0
     theta, h, v = _support_grid(b, boundary_k, vectors=True)
-    boundary = np.einsum("ki,ij,kj->k", v.conj(), b, v)
-    z, lower, idx = _smallest_disc(boundary, np.zeros(boundary_k))
-    found = []  # boundary points polished by failed certifications, with their angles
-
-    def farthest(z: complex) -> tuple[float, list]:
-        points = list(found)
-        best = _refine_peaks(b, theta, h - (np.exp(1j * theta) * z).real, z, 1e-7, points)
-        points.sort(key=lambda p: -abs(p[0] - z))
-        return max(best, abs(points[0][0] - z)), [(p, 0.0, t) for p, t in points]
-
-    end = (0j, float(h.max()), lower)  # the trace center
-    if abs(end[1] - lower) > 1e-11 * end[1]:
-        end = _finish(b, list(boundary[idx]), z, 2.0 * math.pi / boundary_k)
-    if end is None or abs(end[1] - end[2]) > 1e-11 * end[1] or _certify(b, *end[:2], theta, h, found) != end[1]:
-        z = z if end is None else end[0]
-        for _ in range(16):
-            z, value, disc, done = _exchange(farthest, z, 1e-11, 100)  # 10 rounds at most on a stress set
-            if not done:
-                raise ConvergenceError("boundary-point exchange hit its 100-round cap; value "
-                                       f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
-            if _certify(b, z, value, theta, h, found) == value:
-                break
+    points = np.einsum("ki,ij,kj->k", v.conj(), b, v)
+    top = float(h.max())
+    for n in range(16):  # 2 at most on 519 seeded inputs, 15 with every finish declined
+        z, lower, idx = _smallest_disc(points, np.zeros(points.size))
+        found = []  # the boundary points this round polishes, with their angles
+        if n == 0 and abs(top - lower) <= 1e-11 * top:
+            z, value = 0j, top  # the trace center
         else:
-            raise ConvergenceError("w(X - z) still exceeded the exchange's value after 16 exchanges; value "
-                                   f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
+            end = _finish(b, list(points[idx]), z, 2.0 * math.pi / boundary_k, found)
+            if end is not None and abs(end[1] - end[2]) <= 1e-11 * end[1]:
+                z, value, lower = end[0], end[1], max(lower, end[2])
+            else:
+                value = float((h - (np.exp(1j * theta) * z).real).max())
+        value = _certify(b, z, value, theta, h, found)
+        if value - lower <= 1e-11 * value:
+            break
+        points = np.append(points, [p for p, _ in found])
     else:
-        z, value = end[:2]
+        raise ConvergenceError("central numerical radius hit its 16-round cap; value "
+                               f"{unit * scale * value!r}, lower bound {unit * scale * lower!r}")
     value = _unscaled(scale * value, unit, "central numerical radius")
     return _unscaled(shift + scale * z, unit, "center"), value

@@ -219,6 +219,20 @@ def test_validators():
     assert v.shape == (2,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unscaled_maps_back_scalars_and_arrays_alike():
+    # Python scalars take a fast path, numpy scalars and arrays the numpy one:
+    # the same product below the largest float, the same error past it
+    unit = 2.0**1023
+    for q in (3.0, 3j, np.float64(3.0), np.array([3.0, -1j])):
+        small = q / 4.0
+        assert np.array_equal(linalg._unscaled(small, unit, "value"), small * unit)
+        assert type(linalg._unscaled(small, unit, "value")) is type(small * unit)
+        with pytest.raises(OverflowError) as err:
+            linalg._unscaled(q, unit, "value")
+        assert str(err.value) == f"the value, {unit!r} times 3.0, overflows"
+
+
 def test_ensembles_deterministic_and_well_formed():
     assert_allclose(linalg.ginibre(4, 11), linalg.ginibre(4, 11))
     assert not np.allclose(linalg.ginibre(4, 11), linalg.ginibre(4, 12))

@@ -494,8 +494,8 @@ def _recentred_level_set_above(x, z, w) -> bool:
 def test_central_numerical_radius_certificate():
     # the returned value is w(X - z) itself, recomputed independently on a
     # fine grid, certified by the level-set test, and repeatable bit for bit.
-    # It is never above the Cartesian radius by more than the exchange's
-    # stopping tolerance, 1e-11 relative:
+    # It is never above the Cartesian radius by more than the certificate's
+    # tolerance, 1e-11 relative:
     # for a normal X both are the radius of the eigenvalues' enclosing circle
     for d in (2, 3, 4, 8, 16):
         for make in (linalg.ginibre, linalg.random_normal_matrix):
@@ -535,23 +535,23 @@ def test_central_numerical_radius_is_the_enclosing_radius_of_the_range():
 
 def test_central_numerical_radius_resumes_after_failed_certification(monkeypatch):
     # on these seeded inputs an 8-angle grid misses a peak of w(X - z): the
-    # finish is accepted, the level-set test finds the peak, and the
-    # exchange runs with its points
-    exchanges = []
-    exchange = radii._exchange
+    # finish is accepted, the level-set test finds the peak, and a second
+    # round runs with the points it polished
+    certified = []
+    certify = radii._certify
 
     def counted(*args):
-        exchanges.append(None)
-        return exchange(*args)
+        certified.append(None)
+        return certify(*args)
 
-    monkeypatch.setattr(radii, "_exchange", counted)
+    monkeypatch.setattr(radii, "_certify", counted)
     for s in (24, 78, 192):
         rng = np.random.default_rng([435, s])
         x = linalg.ginibre(2 + s % 7, rng)
         ref = radii.central_numerical_radius(x)[1]
-        exchanges.clear()
+        certified.clear()
         z, w = radii.central_numerical_radius(x, boundary_k=8)
-        assert len(exchanges) >= 1
+        assert len(certified) >= 2
         assert abs(w - ref) <= 1e-11 * ref
         assert not _recentred_level_set_above(x, z, w)
 
@@ -586,19 +586,11 @@ def test_exchange_keeps_only_the_support(monkeypatch):
 
 
 def test_central_numerical_radius_round_cap(monkeypatch):
-    # a lower bound that never closes the gap ends in ConvergenceError, not a
-    # hang: the finish is declined, and only the exchange that follows it
-    # gets the broken disc step (the grid's smallest disc keeps the real one)
-    exchange = radii._exchange
-
-    def broken(*args):
-        with monkeypatch.context() as m:
-            m.setattr(geometry, "_circle_one_fixed", lambda points, p: geometry._Disc(0j, 0.0, ()))
-            return exchange(*args)
-
+    # a certificate that never closes the gap to the lower bound ends in
+    # ConvergenceError after 16 rounds, not a hang
     monkeypatch.setattr(radii, "_finish", lambda *args: None)
-    monkeypatch.setattr(radii, "_exchange", broken)
-    with pytest.raises(radii.ConvergenceError, match="100-round cap"):
+    monkeypatch.setattr(radii, "_certify", lambda b, z, best, theta, h, points: 2.0 * best)
+    with pytest.raises(radii.ConvergenceError, match="16-round cap"):
         radii.central_numerical_radius(linalg.ginibre(3, np.random.default_rng(422)))
 
 
@@ -753,35 +745,36 @@ def test_radius_routes(monkeypatch):
 
 
 def test_central_numerical_radius_routes(monkeypatch):
-    # the finish starts from the 64-angle grid's smallest disc and ends it
-    # with no exchange: by the width of W(X) for two points, by a settled
-    # circumcenter for three.  Declining the finish runs the exchange, whose
-    # value the finish matches to 1e-11 and never exceeds by more than 1e-14
+    # the finish starts from the 64-angle grid's smallest disc and ends it in
+    # one round: by the width of W(X) for two points, by a settled
+    # circumcenter for three.  Declining every finish leaves the rounds on
+    # the grid disc's center, whose value the finish matches to 1e-11 and
+    # never exceeds by more than 1e-14; no value is below the circle around
+    # a fine sample of boundary points
     taken = []
     calls = []
-    exchange, finish = radii._exchange, radii._finish
+    finish = radii._finish
 
-    def counted_exchange(*args):
-        calls.append("exchange")
-        return exchange(*args)
+    def counted_finish(b, ends, z, spacing, found):
+        end = finish(b, ends, z, spacing, found)
+        calls.append(len(ends) if end is not None else None)
+        return end
 
-    def counted_finish(b, ends, z, spacing):
-        calls.append(len(ends))
-        return finish(b, ends, z, spacing)
-
-    monkeypatch.setattr(radii, "_exchange", counted_exchange)
     monkeypatch.setattr(radii, "_finish", counted_finish)
-    for x in _stress_set():
+    inputs = list(_stress_set()) + [linalg.ginibre(15, np.random.default_rng([500, 208]))]
+    for x in inputs:
         for c in (1.0, 1e-12, 1e12):
             calls.clear()
             w = radii.central_numerical_radius(c * x)[1]
-            if calls and "exchange" not in calls:  # the finish's center was certified
+            if len(calls) == 1 and calls[0] is not None:  # the finish's center was certified
                 taken.append(calls[0])
             with monkeypatch.context() as m:
                 m.setattr(radii, "_finish", lambda *args: None)
                 slow = radii.central_numerical_radius(c * x)[1]
             assert abs(w - slow) <= 1e-11 * slow
             assert w <= slow * (1.0 + 1e-14)
+            sample = radii.numerical_range(c * x, 1024).boundary_points
+            assert w >= enclosing_circle(sample).radius * (1.0 - 1e-12)
     assert set(taken) == {2, 3}
 
 
