@@ -174,9 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_wr = csub.add_parser("wradius", help="radius of the smallest disk containing the numerical range")
     add_common(p_wr)
-    p_wr.add_argument("--angles", type=int, default=64,
-                      help="support angles sampled around the numerical range; they only seed "
-                           "the finish, whose value the level-set test certifies")
+    p_wr.add_argument("--angles", type=int, default=None,
+                      help="support angles sampled around W(X), the library's default if not given; "
+                           "they only seed the finish, whose value the level-set test certifies")
 
     p_cb = csub.add_parser("commutator-bounds", help="evaluate commutator norm bounds on a pair")
     p_cb.add_argument("--x", required=True, help="matrix JSON file for X")
@@ -285,7 +285,8 @@ def _cmd_numrange(args) -> int:
 
 def _cmd_wradius(args) -> int:
     x = load_matrix(args.input)
-    z, value = central_numerical_radius(x, boundary_k=args.angles)
+    kwargs = {} if args.angles is None else {"boundary_k": args.angles}  # else the library's default
+    z, value = central_numerical_radius(x, **kwargs)
     if args.json:
         print(_dumps({"value": value, "center": {"re": z.real, "im": z.imag}}))
     else:

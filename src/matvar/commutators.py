@@ -74,20 +74,30 @@ def commutator(x, y) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _unscaled_pair(v: float, ux: float, uy: float, name: str) -> float:
+    # v ux uy, overflowing only if the result does
+    if (ux < 1.0) != (uy < 1.0):  # units on opposite sides of 1: ux uy is finite
+        return _unscaled(v, ux * uy, name)
+    return _unscaled(_unscaled(v, ux, name), uy, name)
+
+
 def proof_identity_residual(x, y) -> float:
     """|  ||XY-YX||_2^2 + ||X*Y+YX*||_2^2 - Tr[(X*X+XX*)(Y*Y+YY*)]  |.
 
     The three terms satisfy an exact algebraic identity, so the residual is
     pure floating-point noise: at most 1e-9 times the scale of the terms.
+    X and Y are scaled by separate powers of two first, so no term
+    overflows; the residual maps back, or raises ``OverflowError``.
     """
-    a, b = _pair(x, y)
+    (ux, a), (uy, b) = (_scaled(m) for m in _pair(x, y))
     comm = a @ b - b @ a
     anti = a.conj().T @ b + b @ a.conj().T
     lhs = float(np.sum(np.abs(comm) ** 2) + np.sum(np.abs(anti) ** 2))
     gram_x = a.conj().T @ a + a @ a.conj().T
     gram_y = b.conj().T @ b + b @ b.conj().T
     rhs = float(np.trace(gram_x @ gram_y).real)
-    return abs(lhs - rhs)
+    name = "proof identity residual"
+    return _unscaled_pair(_unscaled_pair(abs(lhs - rhs), ux, uy, name), ux, uy, name)
 
 
 def rho_from_x(x) -> np.ndarray:
@@ -132,11 +142,6 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     p, q, r = _holder_exponents(p, q, r)
     (ux, a), (uy, b) = _scaled(a), _scaled(b)
 
-    def back(v: float, name: str) -> float:  # v ux uy, overflowing only if the result does
-        if (ux < 1.0) != (uy < 1.0):  # units on opposite sides of 1: ux uy is finite
-            return _unscaled(v, ux * uy, name)
-        return _unscaled(_unscaled(v, ux, name), uy, name)
-
     comm = a @ b - b @ a
     lhs = norm(comm, NormSpec.schatten(p))
     denom = norm(a, NormSpec.schatten(q)) * norm(b, NormSpec.schatten(r))
@@ -144,8 +149,8 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
 
     def entry(name: str, value: float) -> BoundEntry:
         slack = value - lhs
-        return BoundEntry(name, back(value, f"{name} bound"), slack >= -slack_tol * value,
-                          back(slack, f"{name} slack"))
+        return BoundEntry(name, _unscaled_pair(value, ux, uy, f"{name} bound"), slack >= -slack_tol * value,
+                          _unscaled_pair(slack, ux, uy, f"{name} slack"))
 
     bounds: list[BoundEntry] = []
     x2 = norm(a, NormSpec.schatten(2))
@@ -166,7 +171,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
         if normal:
             bounds.append(entry("normal_radius", 2.0 * x2 * enclosing_circle(np.linalg.eigvals(b)).radius))
             bounds.append(entry("normal_kyfan_two", x2 * norm(b, NormSpec.kyfan(2))))
-    return BoundReport(back(lhs, "commutator norm"), bounds, ratio)
+    return BoundReport(_unscaled_pair(lhs, ux, uy, "commutator norm"), bounds, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ the first over states, solved by the farthest-point exchange
 rounds of a finish and a certificate.
 ``numerical_radius`` and ``central_numerical_radius`` are certified by the
 level-set test of Mengi and Overton, which proves that no support value
-reaches a given level.
+reaches a given level; its real-root cut widens as the support flattens.
 Inputs are scaled by a power of two (``linalg._scaled``), then shifted by
 trace/d, and outputs are mapped back by ``linalg._unscaled``, which raises
 ``OverflowError`` naming any past the largest float; so no finite input
@@ -30,7 +30,8 @@ overflows, and the relative accuracy does not depend on the scale of X.
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
 squared radius; its exchange stops at 1e-4 unless neither witness closes
 that gap.  ``central_numerical_radius`` finishes on the smallest disc of its
-grid's boundary points, and adds the points a failed certificate finds.  Every
+grid's boundary points (by Newton's method when three fix it), and adds the
+points a failed certificate finds.  Every
 result is deterministic: nothing draws random numbers, and the ``restarts``
 and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _exchange, _smallest_disc
+from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc
 from .linalg import MODULUS_KINDS, _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -407,7 +408,7 @@ def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
     return best
 
 
-def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
+def _level_set(a: np.ndarray, r: float, pole: float, tol: float = 1e-8) -> np.ndarray:
     """The angles theta in [0, 2 pi) at which r is an eigenvalue of
     Re(e^{i theta} X), in increasing order; needs h(pole) < r.
 
@@ -417,7 +418,7 @@ def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     eigenvalue exactly when the Hermitian pencil s^2 (H + r) + 2 s K + (r - H)
     is singular at a real s.  H + r = L L* is positive definite because
     -lam_min(H) = h(pole) < r, so the roots s are the eigenvalues of a 2n x 2n
-    companion matrix; a root counts as real when |Im s| <= 1e-8 (1 + |s|).
+    companion matrix; a root counts as real when |Im s| <= tol (1 + |s|).
     """
     n = a.shape[0]
     y = -np.exp(1j * pole) * a
@@ -428,7 +429,7 @@ def _level_set(a: np.ndarray, r: float, pole: float) -> np.ndarray:
     companion[n:, :n] = -li @ (r * np.eye(n) - h) @ li.conj().T
     companion[n:, n:] = -2.0 * li @ k @ li.conj().T
     s = np.linalg.eigvals(companion)
-    s = s[np.abs(s.imag) <= 1e-8 * (1.0 + np.abs(s))].real
+    s = s[np.abs(s.imag) <= tol * (1.0 + np.abs(s))].real
     return np.sort((pole - math.pi + 2.0 * np.arctan(s)) % (2.0 * math.pi))
 
 
@@ -437,17 +438,20 @@ def _certify(b: np.ndarray, z: complex, best: float, theta: np.ndarray, h: np.nd
     [value, value (1 + 1e-11)]; the pole, where H + r is best conditioned,
     is the angle of the smallest recentred value of B's grid ``theta``, ``h``.
 
-    Each round is one level-set test at r = best (1 + 1e-11).  If no interval
-    between the crossing angles rises above r at its midpoint, w(B - z) < r.
-    Otherwise each that does is ``_polish``-ed from its midpoint, every
-    boundary point evaluated is appended to ``points``, and the largest value
-    is tested next (criss-cross).  Raises ``ConvergenceError`` after 16 tests.
+    Each round is one level-set test at r = best (1 + 1e-11); its root cut,
+    1e-8 times best over the recentred grid's depth below best (at least
+    1e-8), widens where a flat support makes every crossing ill-conditioned.
+    If no interval between the crossing angles rises above r at its midpoint,
+    w(B - z) < r.  Otherwise each that does is ``_polish``-ed from its
+    midpoint, every boundary point evaluated joins ``points``, and the
+    largest value is tested next (criss-cross); ``ConvergenceError`` after 16.
     """
     a = b - z * np.eye(b.shape[0]) if z else b  # no copy at z = 0
-    pole = float(theta[np.argmin(h - (np.exp(1j * theta) * z).real if z else h)])
+    g = h - (np.exp(1j * theta) * z).real if z else h
+    pole = float(theta[np.argmin(g)])
     for _ in range(16):
         r = best * (1.0 + 1e-11)
-        cross = _level_set(a, r, pole)
+        cross = _level_set(a, r, pole, 1e-8 * best / min(max(best - float(g.min()), 1e-300 * best), best))
         if cross.size == 0:
             return best
         ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
@@ -485,39 +489,59 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
             found: list) -> tuple[complex, float, float] | None:
     """The smallest disc around W(B) from the two or three boundary points
     ``ends`` that fix a disc centered at z, as ``(center, value, lower)``:
-    g_z attains value at the center z, and lower is the radius of a disc
-    around points of W(B).  Every angle moves at most one grid ``spacing``
-    from its start, which is exact at a corner of W(B); None after 8 passes.
-    Every boundary point evaluated is appended to ``found`` with its angle.
+    g_z attains value at the center, and lower is the radius of the
+    smallest disc around points of W(B).  Every angle moves at most one grid
+    ``spacing`` from its start, which is exact at a corner of W(B).  Every
+    boundary point evaluated is appended to ``found`` with its angle.
 
     Two points p, q fix the disc at half the diameter of W(B), the largest
     width h(theta) + h(theta + pi): ``_polish`` climbs it from -arg(p - q),
     and the center is the midpoint of the last top and bottom boundary
-    points, where g_z is the half-width.  Each of three points p is
-    polished from -arg(p - z), and the smallest disc of the new points is
-    the next one, until its center moves by at most 1e-13 of its radius: a
-    circumcenter moves only to second order as its points slide along the
-    boundary.  A disc that shrinks to two points takes the width route.
+    points, where g_z is the half-width.  Three run Newton's method on
+    f_i(theta_i) = R, f_i'(theta_i) = 0, f = h - Re(e^{i theta} z), from
+    theta_i = -arg(p_i - z), with one stacked ``eigh`` per pass: M = V* B V
+    gives the points M[top, top], the slopes and h'' = -lam_top +
+    2 sum_j |<v_j, A' v>|^2 / (lam_top - lam_j), A' = Re(i e^{i theta} B)
+    (Lancaster, Numer. Math. 6, 1964), and eliminating each d theta_i leaves
+    a 3 x 3 solve for (dz, R).  It stops once the largest f is the points'
+    circumradius to 1e-15, or dz no longer shrinks; a right or obtuse
+    triangle hands its longest side to the width route.  None on a zero
+    top gap, on f'' >= 0, or after 8 passes.
     """
+    start = -np.angle(np.array(ends) - z)
+    t, last = start, math.inf
     for _ in range(8):
         if len(ends) == 2:
             t = -float(np.angle(ends[0] - ends[1]))
             _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, found, width=True)
             (p, t), (q, _) = found[-2:]
             return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
-        polished = []
-        for p in ends:
-            t = -float(np.angle(p - z))
-            _polish(b, t, t - spacing, t + spacing, z, 1e-10, found)
-            polished.append(found[-1])
-        center, radius, idx = _smallest_disc(np.array([p for p, _ in polished]), np.zeros(len(polished)))
-        if abs(center - z) <= 1e-13 * radius:  # g at the center attains Re(e^{i t} (p - center)) at each t
-            return center, max(float((np.exp(1j * t) * (p - center)).real) for p, t in polished), radius
-        z, ends = center, [polished[i][0] for i in idx]
+        lam, v = np.linalg.eigh(_rotated(b, t))
+        m = v.conj().transpose(0, 2, 1) @ b @ v
+        p, e = m[:, -1, -1], np.exp(1j * t)
+        found.extend(zip(p.tolist(), t.tolist()))
+        a, q, r = max((p[[0, 1, 2]], p[[1, 2, 0]], p[[2, 0, 1]]), key=lambda s: abs(s[1] - s[2]))
+        disc = _circle_two_fixed([(a, 0.0, 0)], (q, 0.0, 1), (r, 0.0, 2))
+        if len(disc.support) == 2:  # the circle on the longest side holds the third point
+            ends = [q, r]
+            continue
+        w = e * (p - z)  # f = Re w and f' = -Im w
+        a2 = e[:, None] * m[:, :-1, -1] - np.conj(e[:, None] * m[:, -1, :-1])  # 2i <v_j, A' v>
+        with np.errstate(all="ignore"):  # a zero top gap leaves f'' inf or nan
+            d2f = 0.5 * (np.abs(a2) ** 2 / (lam[:, -1:] - lam[:, :-1])).sum(-1) - lam[:, -1] + (e * z).real
+        if not (d2f < 0.0).all():
+            return None
+        value, k, sin, cos = float(w.real.max()), -w.imag / d2f, np.sin(t), np.cos(t)
+        rows = np.stack([-cos - k * sin, sin - k * cos, -np.ones(3)], axis=1)  # in dx, dy and R
+        dx, dy, _ = np.linalg.solve(rows, -k * w.imag - w.real)
+        if abs(value - disc.radius) <= 1e-15 * value or not abs(complex(dx, dy)) < last:
+            return z, value, disc.radius
+        t = np.clip(t - k - (sin * dx + cos * dy) / d2f, start - spacing, start + spacing)
+        z, last = z + complex(dx, dy), abs(complex(dx, dy))
     return None
 
 
-def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
+def central_numerical_radius(x, boundary_k: int = 32) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
     center of the smallest disc containing the numerical range W(X),
     certified: w(X - z) lies in [value, value (1 + 1e-11)], and value is
@@ -529,8 +553,8 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     Each round takes the smallest disc of the points so far and a center z:
     in the first round the trace center, valued max h, if that is within
     1e-11 of the radius; else ``_finish``'s center and value, by the width of
-    W(X) for two support points and a settled circumcenter for three, if
-    within 1e-11 of its own lower bound; else the disc's center, valued at
+    W(X) for two support points and Newton's method for three, if within
+    1e-11 of its own lower bound; else the disc's center, valued at
     the largest recentred grid value.  ``_certify`` raises the value to
     w(X - z), and the round returns once it is within 1e-11 of the lower
     bound; else every boundary point it and the finish polished joins the
@@ -544,7 +568,7 @@ def central_numerical_radius(x, boundary_k: int = 64) -> tuple[complex, float]:
     theta, h, v = _support_grid(b, boundary_k, vectors=True)
     points = np.einsum("ki,ij,kj->k", v.conj(), b, v)
     top = float(h.max())
-    for n in range(16):  # 2 at most on 519 seeded inputs, 15 with every finish declined
+    for n in range(16):  # 2 at most on 519 seeded inputs, 13 with every finish declined
         z, lower, idx = _smallest_disc(points, np.zeros(points.size))
         found = []  # the boundary points this round polishes, with their angles
         if n == 0 and abs(top - lower) <= 1e-11 * top:

@@ -67,6 +67,43 @@ def test_proof_identity_residual_random():
     assert proof_identity_residual(x, x) <= 1e-9 * (1.0 + norm(x, NormSpec.schatten(2)) ** 4)
 
 
+def _plain_residual(x, y) -> float:
+    # the residual formed at the scale given, with no power-of-two scaling
+    comm = x @ y - y @ x
+    anti = x.conj().T @ y + y @ x.conj().T
+    lhs = float(np.sum(np.abs(comm) ** 2) + np.sum(np.abs(anti) ** 2))
+    rhs = float(np.trace((x.conj().T @ x + x @ x.conj().T) @ (y.conj().T @ y + y @ y.conj().T)).real)
+    return abs(lhs - rhs)
+
+
+def test_proof_identity_residual_far_from_unit_scale():
+    # X and Y are scaled by separate powers of two before the fourth powers
+    # are formed, which overflowed above about 1e77.  Scaling by a power of
+    # two is exact: the residual is bit for bit the plain one, and
+    # 2^j X, 2^k Y give 2^(2j + 2k) times it; past the largest float that
+    # raises one OverflowError.  At 1e77 and 1e150 it stays finite, at
+    # rounding level like the residual at unit scale
+    overflowed = 0
+    for trial in range(20):
+        rng = np.random.default_rng([503, trial])
+        x, y = ginibre(3, rng), ginibre(3, rng)
+        base = proof_identity_residual(x, y)
+        assert base == _plain_residual(x, y)
+        for j, k in ((256, 256), (498, 0), (498, -498), (-200, -200)):
+            scaled = proof_identity_residual(math.ldexp(1.0, j) * x, math.ldexp(1.0, k) * y)
+            assert scaled == math.ldexp(base, 2 * (j + k))
+        if base > 0.0:
+            with pytest.raises(OverflowError, match="proof identity residual"):
+                proof_identity_residual(math.ldexp(1.0, 498) * x, math.ldexp(1.0, 498) * y)
+            overflowed += 1
+        scale = norm(x, NormSpec.schatten(2)) ** 2 * norm(y, NormSpec.schatten(2)) ** 2
+        for c, d in ((1e77, 1e77), (1e150, 1.0), (1e150, 1e-150)):
+            r = proof_identity_residual(c * x, d * y)
+            assert math.isfinite(r)
+            assert abs(r - base * c * c * d * d) <= 1e-12 * scale * c * c * d * d
+    assert overflowed
+
+
 def test_cauchy_schwarz_step():
     # |Tr[(YX* + X*Y) X]| <= ||YX* + X*Y||_2 ||X||_2
     for trial in range(200):
