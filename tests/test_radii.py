@@ -617,25 +617,22 @@ def test_central_numerical_radius_rounds_with_every_finish_declined(monkeypatch)
     assert max(rounds) <= 14
 
 
-def _scanned_numerical_radius(x) -> float:
-    # the largest of 8,192 equispaced support values: a lower bound on w(X)
-    theta, h = radii._support_grid(x, 8192)
-    return float(h.max())
-
-
 def test_certificates_on_nearly_flat_numerical_ranges():
     # W(J_d + eps G) is nearly a disc, so the support function is nearly
     # flat and every level-set crossing is ill-conditioned: with a fixed
     # real-root cut of 1e-8 the test saw no crossing, and both radii fell
-    # below a plain scan by up to 3.7e-8
+    # below a plain scan by up to 3.7e-8.  The largest of 8,192 equispaced
+    # support values is a lower bound on w(X); one scan of X gives that of
+    # X - z too, as h_{X - z}(theta) = h_X(theta) - Re(e^{i theta} z)
     for d in range(2, 10):
         for eps in (1e-4, 1e-6, 1e-8):
             for s in range(5):
                 x = np.eye(d, k=1) + eps * linalg.ginibre(d, np.random.default_rng([460, d, s]))
+                theta, h = radii._support_grid(x, 8192)
                 w = radii.numerical_radius(x)
-                assert _scanned_numerical_radius(x) <= w * (1.0 + 1e-11)
+                assert float(h.max()) <= w * (1.0 + 1e-11)
                 z, w = radii.central_numerical_radius(x)
-                assert _scanned_numerical_radius(x - z * np.eye(d)) <= w * (1.0 + 1e-11)
+                assert float((h - (np.exp(1j * theta) * z).real).max()) <= w * (1.0 + 1e-11)
 
 
 def _count_eigh(monkeypatch, solve, x) -> int:
@@ -693,12 +690,12 @@ def test_radius_eigensolve_budget(monkeypatch, make, seed):
 
 @pytest.mark.parametrize("make, budget", [(linalg.ginibre, 22), (linalg.random_normal_matrix, 8)])
 def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
-    # the exchange stops early and the witness finishes it: at most 16 eigh
+    # the exchange stops early and the witness finishes it: at most 15 eigh
     # on Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), medians
-    # 11 and 4, against up to 68 and 44 when the exchange ran to its end; the
+    # 10 and 4, against up to 68 and 44 when the exchange ran to its end; the
     # budgets allow about 30 % more than those maxima, and the Ginibre median
-    # guard catches one spare eigensolve per call, such as an eigh of the
-    # diagonal matrix whose eigenpairs the witness's Newton loop starts from
+    # guard catches one spare eigensolve per call, such as the witness's
+    # Newton loop solving again at the center where the exchange just did
     counts = []
     for seed in range(42):
         x = make(8, np.random.default_rng([441, seed]))
@@ -707,7 +704,7 @@ def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
                 counts.append(_count_eigh(m, lambda a: radii.radius(a, kind), x))
     assert max(counts) <= budget
     if make is linalg.ginibre:
-        assert np.median(counts) <= 11
+        assert np.median(counts) <= 10
 
 
 def test_radius_round_cap(monkeypatch):
@@ -764,9 +761,9 @@ def test_radius_routes(monkeypatch):
         # routes (a) and (b) yield nothing, so the exchange must resume
         failed = []
 
-        def witness(b, msq, y):
+        def witness(b, msq, y, *rest):
             if failed:
-                return real_witness(b, msq, y)
+                return real_witness(b, msq, y, *rest)
             failed.append(y)
             return -math.inf, None, y, math.inf
 
@@ -786,6 +783,43 @@ def test_radius_routes(monkeypatch):
                 slow = fallback(c * x, kind)
                 assert abs(res.value - slow.value) <= 1e-14 * slow.value
     assert set(taken) == {"a", "b", "c"}
+
+
+def test_radius_tries_the_kink_witness_only_at_a_nearly_multiple_top(monkeypatch):
+    # after the early stop the kink witness (a) is tried exactly where the
+    # top two eigenvalues of |B - y|^2 agree to the cut, relatively: never
+    # on these Ginibre inputs, always on these normal ones.  Trying (a) on
+    # every pass finds the same values on the stress set
+    seen = []  # "x" per exchange, and (route, relative top gap at y) per witness
+    for name, route in (("_exchange", None), ("_kink_witness", "a"), ("_witness", "b")):
+        def counted(*args, _real=getattr(radii, name), _route=route):
+            if _route is None:
+                seen.append("x")
+            else:
+                b, msq, y = args[:3]
+                w = np.linalg.eigvalsh(msq - np.conj(y) * b - y * b.conj().T + abs(y) ** 2 * np.eye(b.shape[0]))
+                seen.append((_route, (w[-1] - w[-2]) / w[-1]))
+            return _real(*args)
+        monkeypatch.setattr(radii, name, counted)
+    for make, route in ((linalg.ginibre, "b"), (linalg.random_normal_matrix, "a")):
+        for seed in range(42):
+            x = make(8, np.random.default_rng([441, seed]))
+            for kind in "LRC":
+                seen.clear()
+                radii.radius(x, kind)
+                taken, gap = seen[1]  # the first pass's first witness
+                assert seen[0] == "x" and taken == route
+                assert (taken == "a") == (gap <= radii._KINK_GAP)
+    for x in _stress_set():
+        for kind in "LRC":
+            for c in (1.0, 1e-12, 1e12):
+                res = radii.radius(c * x, kind)
+                with monkeypatch.context() as m:
+                    m.setattr(radii, "_KINK_GAP", math.inf)
+                    forced = radii.radius(c * x, kind)
+                assert res.gap <= 1e-13 * res.value * res.value
+                assert forced.gap <= 1e-13 * forced.value * forced.value
+                assert abs(res.value - forced.value) <= 1e-14 * forced.value
 
 
 def test_central_numerical_radius_routes(monkeypatch):
