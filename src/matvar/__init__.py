@@ -13,144 +13,21 @@ The package is organized bottom-up:
 - `commutators`: norm bounds for XY - YX, witness families, constant search
 - `suites`: randomized re-verification of every library invariant
 - `cli`: the `matvar` command-line interface
+
+Each layer's `__all__` is its public API, and the package re-exports exactly
+those names; `cli` is imported only by the `matvar` command.
 """
 
-from .commutators import (
-    BoundEntry,
-    BoundReport,
-    SearchResult,
-    WitnessFamily,
-    commutator,
-    conjectured_constant,
-    evaluate_bounds,
-    proof_identity_residual,
-    rho_from_x,
-    search_constant,
-    witness_families,
-)
-from .geometry import (
-    Circle,
-    boundary_support,
-    enclosing_circle,
-    hull_membership_margin,
-    max_variance_distribution,
-    murthy_sethi_bound,
-    two_largest_radius,
-    variance,
-)
-from .linalg import (
-    ENSEMBLE_KINDS,
-    MODULUS_KINDS,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    as_density,
-    as_hermitian,
-    as_matrix,
-    as_unit_vector,
-    basis_matrix,
-    cartesian_parts,
-    f_matrix,
-    ginibre,
-    hermitian_eig,
-    identity,
-    is_hermitian,
-    modulus,
-    modulus_squared,
-    psd_sqrt,
-    random_density,
-    random_ensemble,
-    random_hermitian,
-    random_normal_matrix,
-    random_point_set,
-    random_unit_vector,
-    random_unitary,
-    require_square,
-    singular_values,
-)
-from .norms import NormSpec, f_ratio_bounds, norm, vector_norm
-from .radii import (
-    ConvergenceError,
-    Membership,
-    NumericalRangeSample,
-    RadiusResult,
-    central_numerical_radius,
-    max_variance,
-    membership_in_range,
-    numerical_radius,
-    numerical_range,
-    quantum_variance,
-    radius,
-)
-from .suites import SUITE_NAMES, CheckResult, VerifyReport, run_suite
+from . import commutators, geometry, linalg, norms, radii, suites
+from .linalg import *
+from .norms import *
+from .geometry import *
+from .radii import *
+from .commutators import *
+from .suites import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundEntry",
-    "BoundReport",
-    "Circle",
-    "CheckResult",
-    "ConvergenceError",
-    "ENSEMBLE_KINDS",
-    "MODULUS_KINDS",
-    "Membership",
-    "NormSpec",
-    "NumericalRangeSample",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "RadiusResult",
-    "SUITE_NAMES",
-    "SearchResult",
-    "VerifyReport",
-    "WitnessFamily",
-    "as_density",
-    "as_hermitian",
-    "as_matrix",
-    "as_unit_vector",
-    "basis_matrix",
-    "boundary_support",
-    "cartesian_parts",
-    "central_numerical_radius",
-    "commutator",
-    "conjectured_constant",
-    "enclosing_circle",
-    "evaluate_bounds",
-    "f_matrix",
-    "f_ratio_bounds",
-    "ginibre",
-    "hermitian_eig",
-    "hull_membership_margin",
-    "identity",
-    "is_hermitian",
-    "max_variance",
-    "max_variance_distribution",
-    "membership_in_range",
-    "modulus",
-    "modulus_squared",
-    "murthy_sethi_bound",
-    "norm",
-    "numerical_radius",
-    "numerical_range",
-    "proof_identity_residual",
-    "psd_sqrt",
-    "quantum_variance",
-    "radius",
-    "random_density",
-    "random_ensemble",
-    "random_hermitian",
-    "random_normal_matrix",
-    "random_point_set",
-    "random_unit_vector",
-    "random_unitary",
-    "require_square",
-    "rho_from_x",
-    "run_suite",
-    "search_constant",
-    "singular_values",
-    "two_largest_radius",
-    "variance",
-    "vector_norm",
-    "witness_families",
-]
+# ConvergenceError is listed by both geometry and radii: one class, named once
+__all__ = list(dict.fromkeys(name for layer in (linalg, norms, geometry, radii, commutators, suites)
+                             for name in layer.__all__))

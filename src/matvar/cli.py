@@ -429,9 +429,10 @@ def main(argv=None) -> int:
         # the reader has gone: send what is still buffered nowhere, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ValueError, ConvergenceError, OverflowError) as exc:
-        # ValueError covers np.linalg.LinAlgError; exit code 1 is reserved
-        # for verify runs whose checks failed
+    except (ValueError, ConvergenceError, OverflowError, OSError) as exc:
+        # ValueError covers np.linalg.LinAlgError, OSError a path that cannot
+        # be read or written (BrokenPipeError, also an OSError, is caught
+        # above); exit code 1 is reserved for verify runs whose checks failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -46,14 +46,9 @@ class NormSpec:
     alpha: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family == "schatten":
+        if self.family in ("schatten", "kyfanpk"):
             object.__setattr__(self, "p", _as_p(self.p))
-        elif self.family == "kyfan":
-            if self.k is None or int(self.k) < 1:
-                raise ValueError(f"Ky Fan order must be a positive integer, got {self.k!r}")
-            object.__setattr__(self, "k", int(self.k))
-        elif self.family == "kyfanpk":
-            object.__setattr__(self, "p", _as_p(self.p))
+        if self.family in ("kyfan", "kyfanpk"):
             if self.k is None or int(self.k) < 1:
                 raise ValueError(f"Ky Fan order must be a positive integer, got {self.k!r}")
             object.__setattr__(self, "k", int(self.k))
@@ -68,7 +63,7 @@ class NormSpec:
             if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
                 raise ValueError("gauge weights must be nonincreasing")
             object.__setattr__(self, "alpha", a)
-        else:
+        elif self.family != "schatten":
             raise ValueError(f"unknown norm family {self.family!r}")
 
     # -- constructors ------------------------------------------------------
@@ -134,17 +129,11 @@ def _p_sum(sv: np.ndarray, p: float) -> float:
 
 def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
     n = sv.size
-    if spec.family == "schatten":
-        return _p_sum(sv, spec.p)
-    if spec.family == "kyfan":
-        if spec.k > n:
-            raise ValueError(f"Ky Fan order {spec.k} exceeds the number of singular values {n}")
-        return _p_sum(sv[: spec.k], 1.0)
-    if spec.family == "kyfanpk":
-        if spec.k > n:
-            raise ValueError(f"Ky Fan order {spec.k} exceeds the number of singular values {n}")
-        return _p_sum(sv[: spec.k], spec.p)
-    # gauge
+    if spec.family != "gauge":  # the p-norm of the k largest: Schatten is k = n, Ky Fan is p = 1
+        k = n if spec.family == "schatten" else spec.k
+        if k > n:
+            raise ValueError(f"Ky Fan order {k} exceeds the number of singular values {n}")
+        return _p_sum(sv[:k], 1.0 if spec.family == "kyfan" else spec.p)
     if len(spec.alpha) < n:
         raise ValueError(f"gauge weight vector has {len(spec.alpha)} entries, need at least {n}")
     a, top, lead = np.array(spec.alpha[:n]), float(sv[0]), spec.alpha[0]

@@ -396,11 +396,14 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     return Membership(margin >= -1e-8 * float(np.abs(h).max()), _unscaled(margin, unit, "margin"))
 
 
+_POLISH_XATOL = 1e-10
+
+
 def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
-            xatol: float, points: list, width: bool = False) -> float:
+            points: list, width: bool = False) -> float:
     """Secant steps towards a local maximum of theta -> h(theta) -
-    Re(e^{i theta} shift) from t, kept in [lo, hi], until a step is below
-    ``xatol``; return the largest value seen.
+    Re(e^{i theta} shift) from t, kept in [lo, hi], until a step is at most
+    ``_POLISH_XATOL``; return the largest value seen.
 
     For a top eigenvector v and w = e^{i theta} (<v, X v> - shift), the
     value is Re w and the slope -Im w (Hellmann-Feynman).  The first step,
@@ -427,7 +430,7 @@ def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
             step = -w.imag * (t - last[0]) / (w.imag - last[1])
         last = (t, w.imag)
         t = min(max(t + step, lo), hi)
-        if abs(t - last[0]) <= xatol:
+        if abs(t - last[0]) <= _POLISH_XATOL:
             break
     return best
 
@@ -484,7 +487,7 @@ def _certify(b: np.ndarray, z: complex, best: float, theta: np.ndarray, h: np.nd
         if above.size == 0:
             return best
         for j in above:
-            best = max(best, _polish(b, mids[j], cross[j], ends[j], z, 1e-10, points))
+            best = max(best, _polish(b, mids[j], cross[j], ends[j], z, points))
     raise ConvergenceError("level-set test still found the value exceeded after 16 certifications")
 
 
@@ -505,7 +508,7 @@ def numerical_radius(x, grid: int = 32) -> float:
     theta, h = _support_grid(b, grid)
     spacing = 2.0 * math.pi / grid
     t = float(theta[np.argmax(h)])
-    best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, []))
+    best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, []))
     return _unscaled(_certify(b, 0j, best, theta, h, []), unit, "numerical radius")
 
 
@@ -537,7 +540,7 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
     for _ in range(8):
         if len(ends) == 2:
             t = -float(np.angle(ends[0] - ends[1]))
-            _polish(b, t, t - spacing, t + spacing, 0j, 1e-10, found, width=True)
+            _polish(b, t, t - spacing, t + spacing, 0j, found, width=True)
             (p, t), (q, _) = found[-2:]
             return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
         lam, v = np.linalg.eigh(_rotated(b, t))

@@ -334,6 +334,23 @@ def test_numerical_failures_exit_with_code_two(fixtures, capsys, monkeypatch, ex
     assert err == f"error: {exc}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["examples", "--out", "{file}"],
+    ["search", "--p", "2", "--q", "2", "--r", "2", "--trials", "1", "--save-witness", "{file}"],
+    ["verify", "--suite", "scalar", "--trials", "1", "--report", "{missing}/r.json"],
+    ["compute", "norm", "--input", "{dir}", "--spec", "schatten:2"],
+], ids=lambda command: command[0])
+def test_unusable_paths_exit_with_code_two(tmp_path, capsys, command):
+    # a path that cannot be read or written is one error line and exit code
+    # 2, not a traceback and the exit code of a failed verify run
+    (tmp_path / "file").write_text("")
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing", "dir": tmp_path}
+    rc = main([a.format(**paths) for a in command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_python_dash_m_entrypoint(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "matvar", "compute", "norm",
