@@ -320,11 +320,15 @@ def _cmd_commutator_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    path = args.report and Path(args.report)
+    if path and (path.is_dir() or not path.parent.is_dir()):  # fail before the run, not after it
+        raise OSError(f"cannot write the report {args.report!r}: "
+                      + ("it is a directory" if path.is_dir() else "its parent is not a directory"))
     report = run_suite(args.suite, trials=args.trials, dim_max=args.dim_max,
                        seed=args.seed, tol=args.tol)
     payload = _dumps(report.to_dict())
-    if args.report:
-        Path(args.report).write_text(payload + "\n")
+    if path:
+        path.write_text(payload + "\n")
     if args.json:
         print(payload)
     else:
@@ -339,11 +343,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    out = args.save_witness and Path(args.save_witness)
+    if out:  # before the search, so that an unusable path fails at once
+        out.mkdir(parents=True, exist_ok=True)
     res = search_constant(args.p, args.q, args.r, args.dims,
                           trials=args.trials, seed=args.seed)
-    if args.save_witness:
-        out = Path(args.save_witness)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         save_matrix(out / "witness_x.json", res.witness_x)
         save_matrix(out / "witness_y.json", res.witness_y)
     obj = {

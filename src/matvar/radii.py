@@ -12,8 +12,9 @@ Its square equals the largest quantum variance
 
 over density matrices rho, and the maximum is always attained at a pure
 state.  The numerical range W(X) is sampled by support directions: for each
-angle the top eigenpair of the Hermitian part of a rotated copy of X yields
-one supporting half plane and one boundary point.
+angle the top eigenpair of Re(e^{i theta} X) yields one supporting half plane
+and one boundary point.  ``_support`` makes every such eigensolve, and a grid
+of k angles takes k / 2 of them for even k and k for odd (``_support_grid``).
 
 ``radius`` and ``central_numerical_radius`` are smallest-disc problems:
 the first over states, solved by the farthest-point exchange
@@ -99,36 +100,29 @@ def _normalise(a: np.ndarray) -> tuple[float, complex, float, np.ndarray]:
     return (unit, shift, 0.0, b) if float(np.abs(b).max()) <= 1e-14 else (unit, shift, *_scaled(b))
 
 
-def _rotated(a: np.ndarray, theta) -> np.ndarray:
-    # Re(e^{i theta} X) = (e^{i theta} X + e^{-i theta} X*) / 2, stacked over theta
-    phase = np.exp(1j * np.asarray(theta))[..., None, None]
-    return 0.5 * (phase * a + np.conj(phase) * a.conj().T)
-
-
 def _support(a: np.ndarray, theta, vectors: bool = False):
-    """Support function of W(X) in the direction e^{-i theta}: the top
-    eigenvalue of Re(e^{i theta} X), for one angle or an array of them, with
-    the top eigenvectors if asked."""
-    if not vectors:
-        return np.linalg.eigvalsh(_rotated(a, theta))[..., -1]
-    w, v = np.linalg.eigh(_rotated(a, theta))
-    return w[..., -1], v[..., -1]
+    """The ascending spectrum of Re(e^{i theta} X), for one angle or stacked
+    over an array of them, with the eigenvectors if asked: its last value is
+    the support function of W(X) in the direction e^{-i theta}."""
+    phase = np.exp(1j * np.asarray(theta))[..., None, None]
+    rotated = 0.5 * (phase * a + np.conj(phase) * a.conj().T)
+    return np.linalg.eigh(rotated) if vectors else np.linalg.eigvalsh(rotated)
 
 
-def _support_grid(a: np.ndarray, k: int, vectors: bool = False):
-    """The k equispaced angles and the support values at them, with the top
-    eigenvectors if asked.  For even k half the eigensolves give every pair:
-    the top eigenpair of Re(e^{i (theta + pi)} X) is the bottom one at theta."""
-    theta = _angles(k)
-    if k % 2:
-        grid = _support(a, theta, vectors)
-    elif vectors:
-        w, v = np.linalg.eigh(_rotated(a, theta[: k // 2]))
-        grid = np.concatenate((w[:, -1], -w[:, 0])), np.concatenate((v[..., -1], v[..., 0]))
-    else:
-        w = np.linalg.eigvalsh(_rotated(a, theta[: k // 2]))
-        grid = np.concatenate((w[:, -1], -w[:, 0]))
-    return (theta, *grid) if vectors else (theta, grid)
+def _support_grid(a: np.ndarray, k: int, points: bool = False):
+    """The k equispaced angles and the support values at them, with the
+    boundary points <v, X v> of the top eigenvectors if asked, from k / 2
+    eigensolves for even k and k for odd: the top eigenpair of
+    Re(e^{i (theta + pi)} X) is the bottom one at theta, and an odd grid is
+    every other angle of the 2k grid."""
+    theta, step = _angles(k), 1 + k % 2
+    spectra = _support(a, (theta / step)[: step * k // 2], points)  # the first half of the step k grid
+    w, v = spectra if points else (spectra, None)
+    h = np.concatenate((w[:, -1], -w[:, 0]))[::step]
+    if not points:
+        return theta, h
+    v = np.concatenate((v[..., -1], v[..., 0]))[::step]
+    return theta, h, np.einsum("ki,ij,kj->k", v.conj(), a, v)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +373,7 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
     point of W(X) on the supporting line.
     """
     unit, c = _scaled(require_square(x))
-    theta, vals, top = _support_grid(c, k, vectors=True)
-    boundary = np.einsum("ki,ij,kj->k", top.conj(), c, top)
+    theta, vals, boundary = _support_grid(c, k, points=True)
     return NumericalRangeSample(theta, _unscaled(vals, unit, "support values"),
                                 _unscaled(boundary, unit, "boundary points"))
 
@@ -416,7 +409,7 @@ def _polish(a: np.ndarray, t: float, lo: float, hi: float, shift: complex,
     """
     best, last = -math.inf, None
     for _ in range(32):
-        v = np.linalg.eigh(_rotated(a, t))[1]
+        v = _support(a, t, vectors=True)[1]
         p = complex(np.vdot(v[:, -1], a @ v[:, -1]))
         points.append((p, t))
         if width:
@@ -483,7 +476,7 @@ def _certify(b: np.ndarray, z: complex, best: float, theta: np.ndarray, h: np.nd
             return best
         ends = np.append(cross[1:], cross[:1] + 2.0 * math.pi)
         mids = 0.5 * (cross + ends)
-        above = np.flatnonzero(_support(a, mids) > r)
+        above = np.flatnonzero(_support(a, mids)[:, -1] > r)
         if above.size == 0:
             return best
         for j in above:
@@ -543,7 +536,7 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
             _polish(b, t, t - spacing, t + spacing, 0j, found, width=True)
             (p, t), (q, _) = found[-2:]
             return 0.5 * (p + q), 0.5 * float((np.exp(1j * t) * (p - q)).real), 0.5 * abs(p - q)
-        lam, v = np.linalg.eigh(_rotated(b, t))
+        lam, v = _support(b, t, vectors=True)
         m = v.conj().transpose(0, 2, 1) @ b @ v
         p, e = m[:, -1, -1], np.exp(1j * t)
         found.extend(zip(p.tolist(), t.tolist()))
@@ -592,8 +585,7 @@ def central_numerical_radius(x, boundary_k: int = 32) -> tuple[complex, float]:
     unit, shift, scale, b = _normalise(require_square(x))
     if not scale:
         return _unscaled(shift, unit, "center"), 0.0
-    theta, h, v = _support_grid(b, boundary_k, vectors=True)
-    points = np.einsum("ki,ij,kj->k", v.conj(), b, v)
+    theta, h, points = _support_grid(b, boundary_k, points=True)
     top = float(h.max())
     for n in range(16):  # 2 at most on 519 seeded inputs, 13 with every finish declined
         z, lower, idx = _smallest_disc(points, np.zeros(points.size))

@@ -351,6 +351,22 @@ def test_unusable_paths_exit_with_code_two(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "all", "--report", "{missing}/r.json"],
+    ["verify", "--suite", "all", "--report", "{dir}"],
+    ["search", "--p", "2", "--q", "2", "--r", "2", "--save-witness", "{file}"],
+], ids=["report-in-missing-dir", "report-is-dir", "witness-dir-is-file"])
+def test_unusable_paths_fail_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # the output path is checked before the suite or the search starts, so
+    # an unusable one costs no work
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its output path was checked")
+
+    monkeypatch.setattr(matvar.cli, "run_suite", never)
+    monkeypatch.setattr(matvar.cli, "search_constant", never)
+    test_unusable_paths_exit_with_code_two(tmp_path, capsys, command)
+
+
 def test_python_dash_m_entrypoint(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "matvar", "compute", "norm",
