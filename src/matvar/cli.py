@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutators import evaluate_bounds, search_constant
+from .commutators import _search_arguments, evaluate_bounds, search_constant
 from .linalg import MODULUS_KINDS, PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
 from .norms import NormSpec, _as_p, norm
 from .radii import (
@@ -344,7 +344,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     out = args.save_witness and Path(args.save_witness)
-    if out:  # before the search, so that an unusable path fails at once
+    if out:  # an unusable path fails before the search, and bad arguments before the path is made
+        _search_arguments(args.p, args.q, args.r, args.dims, args.trials)
         out.mkdir(parents=True, exist_ok=True)
     res = search_constant(args.p, args.q, args.r, args.dims,
                           trials=args.trials, seed=args.seed)

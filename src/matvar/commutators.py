@@ -249,6 +249,18 @@ def _trial_ratio(a: np.ndarray, b: np.ndarray, p: float, q: float, r: float) -> 
     return norm(a @ b - b @ a, NormSpec.schatten(p)) / denom
 
 
+def _search_arguments(p, q, r, dims, trials: int) -> tuple[float, float, float, tuple[int, ...]]:
+    """The checked exponents and dimensions of a search; raises ``ValueError``
+    on bad ones, or on fewer than one trial."""
+    p, q, r = _holder_exponents(p, q, r)
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"dims must be integers >= 2, got {dims!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return p, q, r, dims
+
+
 def search_constant(p: float, q: float, r: float, dims, trials: int,
                     seed: int) -> SearchResult:
     """Randomized lower-bound search for the best constant c_{p,q,r}.
@@ -259,13 +271,7 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
     trials).  A ratio beating the conjectured constant by more than 1e-6
     is flagged as a falsification candidate, never clamped.
     """
-    p, q, r = _holder_exponents(p, q, r)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"dims must be integers >= 2, got {dims!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
+    p, q, r, dims = _search_arguments(p, q, r, dims, trials)
     best_ratio = -math.inf
     best_x = best_y = None
     best_source = ""

@@ -109,11 +109,6 @@ def _disc(y: complex, support: tuple) -> _Disc:
     return _Disc(y, max([math.hypot(abs(y - b), math.sqrt(c)) for b, c, _ in support]), support)
 
 
-def _cross(p: complex, q: complex, x: complex) -> float:
-    # twice the signed area of the triangle (p, q, x)
-    return float(((q - p).conjugate() * (x - p)).imag)
-
-
 def _axis_foot(p: tuple, q: tuple) -> complex:
     # where the radical axis of p and q crosses the line through their means
     u = q[0] - p[0]
@@ -147,25 +142,13 @@ def _inside(p: tuple, d: _Disc) -> bool:
 
 
 def _circle_two_fixed(pts: list, p: tuple, q: tuple) -> _Disc:
-    # smallest disc with p and q on its boundary holding pts: its center lies
-    # on their radical axis, so track the extreme radical centers on each side
-    # of the chord pq
+    # smallest disc with p and q on its boundary holding pts: at most two points, as the exchange keeps
+    # only a disc's support of at most three.  The pair's disc, else the least radical disc through a
+    # point outside it that holds them all; if rounding leaves none, the pair's disc after all
     base = _pair_disc(p, q)
-    left = right = None
-    left_key = right_key = 0.0
-    for s in pts:
-        if _inside(s, base):
-            continue
-        side = _cross(p[0], q[0], s[0])
-        disc = _radical_disc(p, q, s)
-        if disc is None:
-            continue
-        key = _cross(p[0], q[0], disc.center)
-        if side > 0.0 and (left is None or key > left_key):
-            left, left_key = disc, key
-        elif side < 0.0 and (right is None or key < right_key):
-            right, right_key = disc, key
-    return min([d for d in (left, right) if d is not None], key=lambda d: d.radius, default=base)
+    discs = [_radical_disc(p, q, s) for s in pts if not _inside(s, base)]
+    holding = [d for d in discs if d is not None and all(_inside(s, d) for s in pts)]
+    return min(holding, key=lambda d: d.radius, default=base)
 
 
 def _circle_one_fixed(pts: list, p: tuple) -> _Disc:
@@ -185,9 +168,11 @@ def _exchange(farthest, y: complex, rtol: float, cap: int) -> tuple[complex, flo
     farthest first.  Each point outside the disc grows it by Welzl's step
     (LNCS 555, 1991), and only the at most three points that fix the new disc
     are kept: the disc of a subset still bounds min f from below, and its
-    center is the next y.  Stops once no point grew the disc or the best
-    value is within ``rtol`` of its radius, relatively.  Returns the best y,
-    its value, the disc and whether it stopped in time.
+    center is the next y.  So each Welzl step sees at most four points, and
+    its two-point step picks among at most three discs: the pair's and two
+    radical ones.  Stops once no point grew the disc or the best value is
+    within ``rtol`` of its radius, relatively.  Returns the best y, its
+    value, the disc and whether it stopped in time.
     """
     disc = None
     best_y, best = y, math.inf

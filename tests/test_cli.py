@@ -56,6 +56,33 @@ def test_matrix_file_validation(tmp_path):
         load_matrix(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[[1, 0], [0, 1]]', "expected a JSON object"),
+    ('{"rows": 0, "cols": 2, "re": [], "im": []}', "positive integers"),
+    ('{"rows": 1.0, "cols": 2, "re": [[1, 2]], "im": [[0, 0]]}', "positive integers"),
+    ('{"rows": 1, "cols": "2", "re": [[1, 2]], "im": [[0, 0]]}', "positive integers"),
+    ('{"rows": 1, "cols": -2, "re": [[1, 2]], "im": [[0, 0]]}', "positive integers"),
+    ('{"rows": 1, "cols": 2, "re": [["a", 2]], "im": [[0, 0]]}', "must be numeric"),
+    ('{"rows": 1, "cols": 2, "re": [[1, 2]], "im": [[0, {}]]}', "must be numeric"),
+    ('{"rows": 1, "cols": 2, "re": [[NaN, 2]], "im": [[0, 0]]}', "must be finite"),
+    ('{"rows": 1, "cols": 2, "re": [[1, 2]], "im": [[0, -Infinity]]}', "must be finite"),
+], ids=["array", "zero-rows", "float-rows", "string-cols", "negative-cols",
+        "string-re", "object-im", "nan", "infinity"])
+def test_bad_matrix_files_exit_with_code_two(tmp_path, capsys, text, message):
+    # json.loads takes NaN and Infinity literals, so the finiteness check must
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["compute", "norm", "--spec", "schatten:2", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+def test_matrix_to_dict_rejects_arrays_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match="expected a 2D array"):
+        matrix_to_dict(np.zeros(shape))
+
+
 def test_compute_examples(fixtures, tmp_path, capsys):
     assert main(["compute", "radius", "--kind", "C",
                  "--input", str(fixtures / "pauli_z.json")]) == 0
@@ -137,6 +164,27 @@ def test_commutator_bounds_cli(fixtures, capsys):
     assert abs(by_name["frobenius"]["slack"]) <= 1e-12
 
 
+def test_commutator_bounds_text_output(fixtures, tmp_path, capsys):
+    def lines(x, y, *extra):
+        assert main(["compute", "commutator-bounds", "--x", str(x), "--y", str(y),
+                     "--p", "2", "--q", "2", "--r", "2", *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    out = lines(fixtures / "pauli_x.json", fixtures / "e12.json")
+    assert out[0] == "lhs: 1.41421356237" and out[-1] == "ratio: 1"
+    assert out[1].split() == ["frobenius", "2", "(holds,", "slack", "+5.858e-01)"]
+    assert len(out) == 7 and all("(holds, slack " in line for line in out[1:-1])
+    # a negative tolerance asks every bound to clear the commutator norm by
+    # that share of itself, which these tight ones do not
+    out = lines(fixtures / "e21.json", fixtures / "e12.json", "--tol", "-0.2")
+    assert out[1].split() == ["frobenius", "1.41421356237", "(VIOLATED,", "slack", "+0.000e+00)"]
+    assert len(out) == 7 and all("(VIOLATED, slack " in line for line in out[1:-1])
+    zero = tmp_path / "zero.json"
+    save_matrix(zero, np.zeros((2, 2)))
+    out = lines(zero, fixtures / "pauli_z.json")
+    assert out[0] == "lhs: 0" and out[-1] == "ratio: undefined (zero denominator)"
+
+
 def test_verify_cli(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(["verify", "--suite", "norms", "--trials", "5", "--dim-max", "4",
@@ -197,6 +245,28 @@ def test_search_cli(tmp_path, capsys):
     assert capsys.readouterr().out == first  # byte-identical repeat run
 
 
+def test_search_text_output(capsys):
+    assert main(["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2",
+                 "--trials", "8", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "best_ratio: 1.41421356237  (from family:pauli_pair)",
+        "conjectured: 1.41421356237  gap: 0",
+    ]
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "2", "--q", "2", "--r", "2", "--trials", "0"],
+    ["--p", "1", "--q", "4", "--r", "4"],
+], ids=["no-trials", "exponents"])
+def test_rejected_search_leaves_no_witness_directory(tmp_path, capsys, args):
+    # the arguments are checked before the witness directory is made
+    out = tmp_path / "newdir"
+    assert main(["search", *args, "--save-witness", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_search_cli_gap_and_errors(capsys):
     rc = main(["search", "--p", "2", "--q", "2", "--r", "inf", "--dims", "2",
                "--trials", "5", "--seed", "7", "--json"])
@@ -229,6 +299,19 @@ def test_cli_flag_errors(fixtures, capsys):
     rc = main(["compute", "norm", "--input", "/nonexistent.json",
                "--spec", "schatten:2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "numrange", "--input", "{f2}", "--z", "1"],
+    ["compute", "numrange", "--input", "{f2}", "--z", "a,b"],
+    ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2,x"],
+    ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2.5"],
+], ids=["z-one-part", "z-not-numeric", "dims-not-integer", "dims-fraction"])
+def test_flag_values_that_do_not_parse_exit_with_code_two(fixtures, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f2=fixtures / "f2.json") for a in args])
+    assert exc.value.code == 2
+    assert "expected " in capsys.readouterr().err
 
 
 def test_compute_near_the_largest_float(tmp_path, capsys):

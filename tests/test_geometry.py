@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matvar import linalg
+from matvar import geometry, linalg
 from matvar.geometry import (
     Circle,
     _smallest_disc,
@@ -133,6 +133,31 @@ def test_weighted_disc_with_nearly_collinear_means():
         phase, shift = np.exp(2j * math.pi * rng.uniform()), complex(*rng.standard_normal(2))
         _, radius, _ = _smallest_disc(phase * b + shift, c)
         assert abs(radius * radius / 5.0 - 1.0) <= 1e-13
+
+
+def test_two_point_step_with_collinear_or_coincident_means():
+    # the smallest disc with p and q on its boundary holding pts, when one of
+    # pts has no radical disc with p and q: its mean is on their line, or
+    # equal to one of theirs
+    p, q = (-1.0 + 0j, 0.0, "p"), (1.0 + 0j, 0.0, "q")
+    above = (2j, 0.0, "above")  # the circle through p, q and 2i: center 0.75i, radius 1.25
+    for other in [(0.5 + 0j, 0.0, "between"), (0.5 + 0j, 0.3, "weighted"),
+                  (-1.0 + 0j, 0.0, "at p"), (1.0 + 0j, 0.0, "at q"), (2j, 0.0, "twice")]:
+        for pts in ([other, above], [above, other]):
+            disc = geometry._circle_two_fixed(pts, p, q)
+            assert abs(disc.center - 0.75j) <= 1e-15 and abs(disc.radius - 1.25) <= 1e-15
+            assert all(geometry._inside(s, disc) for s in [p, q, *pts])
+    # a disc with heavier p and a lighter point at p's mean
+    p = (-1.0 + 0j, 0.25, "p")
+    disc = geometry._circle_two_fixed([(-1.0 + 0j, 0.1, "light"), above], p, q)
+    assert all(geometry._inside(s, disc) for s in [p, q, above, (-1.0 + 0j, 0.1, "light")])
+    for s in (p, q, above):
+        assert abs(math.hypot(abs(s[0] - disc.center), math.sqrt(s[1])) - disc.radius) <= 1e-15
+    # no disc through p and q holds a point on their line beyond q, or one
+    # heavier than p at p's mean: the pair's disc is returned, as before
+    p = (-1.0 + 0j, 0.0, "p")
+    for s in [(3.0 + 0j, 0.0, "beyond"), (-1.0 + 0j, 0.5, "heavy")]:
+        assert geometry._circle_two_fixed([s], p, q) == geometry._pair_disc(p, q)
 
 
 def test_variance_examples():

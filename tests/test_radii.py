@@ -122,6 +122,13 @@ def test_radius_closed_forms():
     assert res.value == 0.0 and res.y_star == 2.5j
 
 
+def test_radius_rejects_an_unknown_kind():
+    # also on the zero matrix, where the dual returns before any solve
+    for x in (linalg.ginibre(3, np.random.default_rng(461)), np.zeros((3, 3)), 2.5j * np.eye(3)):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            radii.radius(x, "X")
+
+
 def test_radius_of_nilpotent_unit_matches_shift_scan():
     # || e12 - y 1 ||_inf^2 = |y|^2 + (1 + sqrt(1 + 4|y|^2)) / 2 depends only
     # on |y|; scan radially and compare against the solver
@@ -344,6 +351,11 @@ def test_numerical_radius_examples():
     assert_allclose(radii.numerical_radius(2.5j * np.eye(3)), 2.5, atol=1e-12)
     h = np.diag([3.0, -1.0, 0.5])
     assert_allclose(radii.numerical_radius(h), 3.0, atol=1e-12)
+
+
+def test_numerical_radius_of_the_zero_matrix():
+    for d in (1, 2, 5):
+        assert radii.numerical_radius(np.zeros((d, d))) == 0.0
 
 
 def test_numerical_radius_bounds():
