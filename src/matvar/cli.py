@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ def matrix_from_dict(obj: dict, origin: str = "<matrix>") -> np.ndarray:
         if key not in obj:
             raise ValueError(f"{origin}: missing field {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not all(type(n) is int and n > 0 for n in (rows, cols)):  # JSON true is an int in Python
         raise ValueError(f"{origin}: rows/cols must be positive integers")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
@@ -70,6 +71,10 @@ def matrix_from_dict(obj: dict, origin: str = "<matrix>") -> np.ndarray:
         raise ValueError(
             f"{origin}: shape mismatch, rows x cols = {expect} but "
             f"re is {re.shape} and im is {im.shape}")
+    for entry in (v for key in ("re", "im") for row in obj[key] for v in row):
+        if isinstance(entry, bool) or not isinstance(entry, numbers.Real):  # null, true and "1" convert too
+            entry = json.dumps(entry, default=repr)
+            raise ValueError(f"{origin}: re/im must be numeric 2D arrays (entry {entry})")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError(f"{origin}: entries must be finite")
     return re + 1j * im

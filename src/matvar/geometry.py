@@ -316,16 +316,18 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
     if spread == 0.0:
         return centroid, 0.0
 
+    pts = rel.tolist()  # at most a dozen points in the acceptance gate: plain floats beat numpy calls
+
     def oracle(u: complex) -> tuple[float, complex]:
-        dists = np.abs(rel - u)
-        far = np.argpartition(dists, dists.size - 2)[-2:]  # the farthest last
-        two, top = dists[far], float(dists[far[1]])
+        near, far = sorted(pts, key=lambda z: abs(z - u))[-2:]  # the farthest last
+        second, top = abs(near - u), abs(far - u)
         if math.isinf(p):
-            return top, (u - complex(rel[far[1]])) / top
-        val = top * float(np.mean((two / top) ** p)) ** (1.0 / p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            units = np.where(two > 0.0, (u - rel[far]) / two, 0.0)
-        return val, complex(np.dot(0.5 * (two / val) ** (p - 1.0), units))
+            return top, (u - far) / top
+        val = top * (0.5 * ((second / top) ** p + 1.0)) ** (1.0 / p)
+        grad = 0.5 * (top / val) ** (p - 1.0) * (u - far) / top
+        if second > 0.0:
+            grad += 0.5 * (second / val) ** (p - 1.0) * (u - near) / second
+        return val, grad
 
     u, val = _minimise_2d(oracle, 1.0, rtol=1e-14)
     return centroid + spread * u * unit, spread * val * unit

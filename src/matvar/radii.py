@@ -29,11 +29,14 @@ trace/d, and outputs are mapped back by ``linalg._unscaled``, which raises
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
-squared radius; its exchange stops at 1e-4 unless neither witness closes
-that gap, and the kink witness is tried there only where the top eigenvalue
-of |X - y|^2 is nearly multiple.  ``central_numerical_radius`` finishes on
-the smallest disc of its grid's boundary points (by Newton's method when
-three fix it), and adds the points a failed certificate finds.  Every
+squared radius.  Newton's method from the trace center closes that gap
+where the top eigenvalue of |X - y|^2 there is simple and its eigenvector
+is no eigenvector of X; else its exchange stops at 1e-4 unless neither
+witness closes the gap, and the kink witness is tried there only where the
+top eigenvalue of |X - y|^2 is nearly multiple.
+``central_numerical_radius`` finishes on the smallest disc of its grid's
+boundary points (by Newton's method when three fix it), and adds the
+points a failed certificate finds.  Every
 result is deterministic: nothing draws random numbers, and the ``restarts``
 and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
@@ -134,6 +137,12 @@ def _support_grid(a: np.ndarray, k: int, points: bool = False):
 # benchmark's 480 matrices x L/R/C every try that failed had one above
 # 1.3e-3 or below 1e-15
 _KINK_GAP = 1e-3
+# Newton from the trace center is tried only where, besides a top gap above
+# _KINK_GAP, the top eigenvector of |B|^2 has a variance above this, relative
+# to lam_max: at most 2.2e-15 on 42 seeded normal inputs x L/R/C at each d
+# in 3..16, where that vector is an eigenvector of B and the optimum a kink,
+# and at least 4.8e-2 on as many Ginibre ones
+_NEWTON_VARIANCE = 1e-8
 
 
 def _shifted_eigh(b: np.ndarray, msq: np.ndarray):
@@ -144,27 +153,30 @@ def _shifted_eigh(b: np.ndarray, msq: np.ndarray):
     return lambda y: np.linalg.eigh(msq - np.conj(y) * b - y * bh + abs(y) ** 2 * eye)
 
 
-def _segment_hit(b: np.ndarray, xa: np.ndarray, xb: np.ndarray, q: complex) -> np.ndarray:
-    """Unit vector in span{xa, xb} with <v, B v> = q, for q on the segment
-    between the field values of xa and xb.  Rotated so that segment is real,
-    <v, (B - q) v> along v = xa + t phase xb is a real quadratic in t once
-    the phase makes its middle coefficient real; of the two such phases, the
-    one with Re(phase <xa, xb>) >= 0 keeps |v| >= 1, free of cancellation."""
-    pa, pb = complex(np.vdot(xa, b @ xa)), complex(np.vdot(xb, b @ xb))
-    c = np.conj(pb - pa) * (b - q * np.eye(b.shape[0]))
-    lo, hi = np.vdot(xa, c @ xa).real, np.vdot(xb, c @ xb).real  # lo <= 0 <= hi
+def _segment_hit(pa: complex, pb: complex, ab: complex, ba: complex, gab: complex,
+                 q: complex) -> tuple[complex, complex]:
+    """Coefficients (s, t) of the unit v = s xa + t xb with <v, B v> = q,
+    for q on the segment between the field values pa = <xa, B xa> and
+    pb = <xb, B xb> of unit vectors xa and xb, given ab = <xa, B xb>,
+    ba = <xb, B xa> and gab = <xa, xb>, all plain complex numbers.
+    Rotated so that segment is real, <v, (B - q) v> along v = xa + t phase xb
+    is a real quadratic in t once the phase makes its middle coefficient
+    real; of the two such phases, the one with Re(phase <xa, xb>) >= 0 keeps
+    |v| >= 1, free of cancellation."""
+    rot = (pb - pa).conjugate()
+    lo, hi = (rot * (pa - q)).real, (rot * (pb - q)).real  # lo <= 0 <= hi
     if lo >= 0.0 or hi <= 0.0:
-        return xa if abs(pa - q) <= abs(pb - q) else xb
-    ab, ba = np.vdot(xa, c @ xb), np.vdot(xb, c @ xa)
-    phase = np.conj(ab - np.conj(ba))
+        return (1.0, 0.0) if abs(pa - q) <= abs(pb - q) else (0.0, 1.0)
+    ab, ba = rot * (ab - q * gab), rot * (ba - q * gab.conjugate())
+    phase = (ab - ba.conjugate()).conjugate()
     phase = phase / abs(phase) if abs(phase) > 0.0 else 1.0
-    if (phase * np.vdot(xa, xb)).real < 0.0:
+    if (phase * gab).real < 0.0:
         phase = -phase
-    mid = (phase * ab + np.conj(phase) * ba).real
+    mid = (phase * ab + phase.conjugate() * ba).real
     disc = math.sqrt(mid * mid - 4.0 * lo * hi)
     t = (disc - mid) / (2.0 * hi) if mid < 0.0 else -2.0 * lo / (mid + disc)
-    v = xa + t * phase * xb
-    return v / np.linalg.norm(v)
+    norm = math.sqrt(1.0 + t * t + 2.0 * t * (phase * gab).real)
+    return 1.0 / norm, t * phase / norm
 
 
 def _polygon_hit(b: np.ndarray, vecs: list, y: complex) -> np.ndarray:
@@ -172,28 +184,46 @@ def _polygon_hit(b: np.ndarray, vecs: list, y: complex) -> np.ndarray:
     whose field values run around a convex polygon (any three do): a fan
     triangle from the first value holds y, and two segment solves land on
     it.  If no fan triangle holds y, the nearest point of the polygon's
-    edges is hit instead."""
-    pts = np.array([np.vdot(u, b @ u) for u in vecs])
-    # barycentric weights of y in the fan triangles (p0, p_j+1, p_j+2)
-    e1, e2, ey = pts[1:-1] - pts[0], pts[2:] - pts[0], y - pts[0]
-    det = (np.conj(e1) * e2).imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (np.conj(ey) * e2).imag / det
-        t = (np.conj(e1) * ey).imag / det
-        weights = np.stack([1.0 - s - t, s, t])
-    fit = np.where(np.abs(det) > 1e-14 * np.abs(pts - pts[0]).max() ** 2, weights.min(axis=0), -np.inf)
-    if fit.size and fit.max() >= -1e-12:
-        j = int(np.argmax(fit))
-        w1, w2 = np.clip(weights[1:, j], 0.0, None)
-        if w1 + w2 == 0.0:
-            return vecs[0]
-        q = (w1 * pts[j + 1] + w2 * pts[j + 2]) / (w1 + w2)  # where the ray p0 -> y leaves
-        return _segment_hit(b, vecs[0], _segment_hit(b, vecs[j + 1], vecs[j + 2], q), y)
-    edge = np.roll(pts, -1) - pts
-    along = np.clip((np.conj(edge) * (y - pts)).real / np.maximum(np.abs(edge) ** 2, 1e-300), 0.0, 1.0)
-    near = pts + along * edge
-    j = int(np.argmin(np.abs(y - near)))
-    return _segment_hit(b, vecs[j], vecs[(j + 1) % len(vecs)], near[j])
+    edges is hit instead.  One product gives V* B V and V* V for the
+    vectors V; the rest is arithmetic on plain complex numbers."""
+    rows = np.array(vecs)
+    k = len(vecs)
+    mg = (rows.conj() @ np.hstack((b @ rows.T, rows.T))).tolist()
+    m, g = [row[:k] for row in mg], [row[k:] for row in mg]
+    pts = [m[i][i] for i in range(k)]
+    p0 = pts[0]
+    tiny = 1e-14 * max(abs(p - p0) for p in pts) ** 2
+    best = None  # (least barycentric weight of y, fan triangle, its two far weights)
+    for j in range(1, k - 1):  # the fan triangles (p0, p_j, p_j+1)
+        e1, e2, ey = pts[j] - p0, pts[j + 1] - p0, y - p0
+        det = (e1.conjugate() * e2).imag
+        if abs(det) > tiny:
+            s, t = (ey.conjugate() * e2).imag / det, (e1.conjugate() * ey).imag / det
+            fit = min(1.0 - s - t, s, t)
+            if best is None or fit > best[0]:
+                best = (fit, j, s, t)
+    if best is None or best[0] < -1e-12:  # the nearest point of the edges (p_i, p_i+1)
+        near = []
+        for i in range(k):
+            edge = pts[(i + 1) % k] - pts[i]
+            along = min(max((edge.conjugate() * (y - pts[i])).real / max(abs(edge) ** 2, 1e-300), 0.0), 1.0)
+            near.append((abs(y - pts[i] - along * edge), i, pts[i] + along * edge))
+        _, i, q = min(near, key=lambda n: n[0])
+        j = (i + 1) % k
+        s, t = _segment_hit(pts[i], pts[j], m[i][j], m[j][i], g[i][j], q)
+        return s * rows[i] + t * rows[j]
+    _, j, w1, w2 = best
+    w1, w2 = max(w1, 0.0), max(w2, 0.0)
+    if w1 + w2 == 0.0:
+        return vecs[0]
+    q = (w1 * pts[j] + w2 * pts[j + 1]) / (w1 + w2)  # where the ray p0 -> y leaves
+    s1, t1 = _segment_hit(pts[j], pts[j + 1], m[j][j + 1], m[j + 1][j], g[j][j + 1], q)
+    # v = s1 x_j + t1 x_j+1, and the segment from x_0 to it
+    pv = (abs(s1) ** 2 * pts[j] + abs(t1) ** 2 * pts[j + 1]
+          + s1.conjugate() * t1 * m[j][j + 1] + t1.conjugate() * s1 * m[j + 1][j])
+    s, t = _segment_hit(p0, pv, s1 * m[0][j] + t1 * m[0][j + 1], s1.conjugate() * m[j][0]
+                        + t1.conjugate() * m[j + 1][0], s1 * g[0][j] + t1 * g[0][j + 1], y)
+    return s * rows[0] + (t * s1) * rows[j] + (t * t1) * rows[j + 1]
 
 
 def _variance(b: np.ndarray, msq: np.ndarray, psi: np.ndarray) -> float:
@@ -279,14 +309,21 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
 
     A unit v gives the mean b = <v, X v> and variance c = <v, |X|^2 v> - |b|^2,
     and lam_max(|X - y|^2), convex in y, is the largest |y - b|^2 + c over
-    unit v, attained at a top eigenvector: ``geometry._exchange`` minimises
-    it from the trace center.  ``primal_value`` is the witness's variance, a
-    lower bound on value^2, and ``gap`` is the difference.  One loop runs at
-    most two passes: the first stops the exchange once the value is within
-    1e-4 of the disc's radius, relatively, and the second, route (c),
-    resumes it with the first disc's support and runs it to its end.  After
-    each exchange two witnesses are tried, and the first pass whose gap is
-    1e-13 value^2 or below finishes:
+    unit v, attained at a top eigenvector.  ``primal_value`` is the
+    witness's variance, a lower bound on value^2, and ``gap`` is the
+    difference; the first route whose gap is 1e-13 value^2 or below
+    finishes.  First, for a smooth optimum, Newton from the trace center:
+    where the top eigenvalue of |X - y|^2 at the trace center y is simple,
+    lam_1 - lam_2 > 1e-3 lam_1, and its eigenvector's variance is above
+    1e-8 lam_1 (on a normal X it is an eigenvector of X, and the optimum a
+    kink), ``_witness`` runs from there with that eigensolve, and the value
+    is sqrt(lam_max) at its best center.  Else ``geometry._exchange``
+    minimises lam_max from the trace
+    center, starting from the same eigensolve, in one loop of at most two
+    passes: the first stops the exchange once the value is within 1e-4 of
+    the disc's radius, relatively, and the second, route (c), resumes it
+    with the first disc's support and runs it to its end.  After each
+    exchange two witnesses are tried:
 
     (a) a kink: the unit vector with mean y in the span of the top
         eigenvectors that fix the disc (``_kink_witness``).  A kink has a
@@ -313,7 +350,7 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
 
     shifted = _shifted_eigh(b, msq)
     resumed = []  # the first disc's support, handed back when the exchange resumes
-    eigs = {}  # the eigenpairs of |B - y|^2 at every center the exchange tried
+    eigs = {}  # the eigenpairs of |B - y|^2 at the trace center and every center the exchange tried
 
     def farthest(y: complex) -> tuple[float, list]:
         if y not in eigs:  # the resumed exchange starts where the first one ended
@@ -324,11 +361,20 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
         return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)] + resumed
 
-    def closed(value: float, primal: float) -> bool:
-        return value * value - primal <= 1e-13 * value * value
+    def closed(value: float, primal: float) -> bool:  # never on an inf or nan: inf <= inf holds
+        finite = math.isfinite(value) and math.isfinite(primal)
+        return finite and value * value - primal <= 1e-13 * value * value
 
-    y = 0j
+    w, v = eigs[0j] = shifted(0j)  # the exchange's first round reuses this eigensolve
+    y, value, primal = 0j, math.inf, -math.inf
+    if w[-1] - w[-2] > _KINK_GAP * w[-1] and _variance(b, msq, v[:, -1]) > _NEWTON_VARIANCE * w[-1]:
+        primal, witness, centre, top = _witness(b, msq, 0j, eigs[0j])  # Newton from the trace center
+        at = math.sqrt(max(top, 0.0))
+        if closed(at, primal):
+            y, value = centre, at
     for rtol in (1e-4, 0.0):  # at most 13 rounds, then 27 more, on a stress set (50 from the trace center)
+        if closed(value, primal):
+            break
         y, value, disc, done = _exchange(farthest, y, rtol, 500)
         if not done:
             raise ConvergenceError("radius exchange hit its 500-round cap; value "
@@ -342,8 +388,6 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
             at = math.sqrt(max(top, 0.0))
             if at < value:
                 y, value = centre, at
-        if closed(value, primal):
-            break
         resumed.extend(disc.support)
     value = _unscaled(scale * value, unit, "radius")
     primal = unit * (scale * (unit * (scale * float(max(primal, 0.0)))))  # inf once the square overflows

@@ -66,8 +66,10 @@ def test_matrix_file_validation(tmp_path):
     ('{"rows": 1, "cols": 2, "re": [[1, 2]], "im": [[0, {}]]}', "must be numeric"),
     ('{"rows": 1, "cols": 2, "re": [[NaN, 2]], "im": [[0, 0]]}', "must be finite"),
     ('{"rows": 1, "cols": 2, "re": [[1, 2]], "im": [[0, -Infinity]]}', "must be finite"),
+    ('{"rows": true, "cols": true, "re": [[3]], "im": [[0]]}', "positive integers"),
+    ('{"rows": 1, "cols": 2, "re": [[1, null]], "im": [[0, 0]]}', "must be numeric"),
 ], ids=["array", "zero-rows", "float-rows", "string-cols", "negative-cols",
-        "string-re", "object-im", "nan", "infinity"])
+        "string-re", "object-im", "nan", "infinity", "boolean-dims", "null-re"])
 def test_bad_matrix_files_exit_with_code_two(tmp_path, capsys, text, message):
     # json.loads takes NaN and Infinity literals, so the finiteness check must
     path = tmp_path / "bad.json"

@@ -265,6 +265,36 @@ def test_polygon_hit_lands_inside_on_edges_and_at_vertices():
             assert abs(np.vdot(u, b @ u) - y) <= 1e-12 * np.abs(b).max()
 
 
+def _nearest_on_edges(pts, y):
+    # the nearest point to y of the closed polygon through pts, by edges
+    near = []
+    for p, q in zip(pts, np.roll(pts, -1)):
+        e = q - p
+        along = 0.0 if e == 0 else min(max(((y - p) * np.conj(e)).real / abs(e) ** 2, 0.0), 1.0)
+        near.append(p + along * e)
+    return min(near, key=lambda z: abs(y - z))
+
+
+def test_polygon_hit_on_two_and_three_vectors_inside_and_outside():
+    # the kink witness spans at most three vectors; a y outside their
+    # polygon (on a kink, by rounding) is hit at the nearest point of its edges
+    for trial in range(60):
+        rng = np.random.default_rng([443, trial])
+        m = int(rng.integers(2, 6))
+        b = (linalg.ginibre(m, rng), linalg.random_normal_matrix(m, rng),
+             linalg.random_hermitian(m, rng))[trial % 3]
+        for k in (2, 3):
+            vecs = list(radii._support(b, rng.uniform(0.0, 2.0 * math.pi, k), vectors=True)[1][..., -1])
+            pts = np.array([np.vdot(u, b @ u) for u in vecs])
+            spread = np.abs(pts - pts.mean()).max()
+            inside = rng.dirichlet(np.ones(k)) @ pts
+            outside = inside + 2.0 * spread * np.exp(2j * math.pi * rng.uniform())
+            for y, target in ((inside, inside), (outside, _nearest_on_edges(pts, outside))):
+                u = radii._polygon_hit(b, vecs, complex(y))
+                assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+                assert abs(np.vdot(u, b @ u) - target) <= 1e-12 * np.abs(b).max()
+
+
 def test_segment_hit_with_nearly_parallel_ends():
     rng = np.random.default_rng(418)
     b = linalg.ginibre(3, rng)
@@ -273,8 +303,12 @@ def test_segment_hit_with_nearly_parallel_ends():
     for psi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
         xb = np.exp(1j * psi) * xa + 1e-8 * w
         xb /= np.linalg.norm(xb)
-        q = 0.5 * (np.vdot(xa, b @ xa) + np.vdot(xb, b @ xb))
-        u = radii._segment_hit(b, xa, xb, q)
+        pa, pb = complex(np.vdot(xa, b @ xa)), complex(np.vdot(xb, b @ xb))
+        q = 0.5 * (pa + pb)
+        s, t = radii._segment_hit(pa, pb, complex(np.vdot(xa, b @ xb)), complex(np.vdot(xb, b @ xa)),
+                                  complex(np.vdot(xa, xb)), q)
+        u = s * xa + t * xb
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         assert abs(np.vdot(u, b @ u) - q) <= 1e-12
 
 
@@ -755,12 +789,13 @@ def test_radius_eigensolve_budget(monkeypatch, make, seed):
 
 @pytest.mark.parametrize("make, budget", [(linalg.ginibre, 22), (linalg.random_normal_matrix, 8)])
 def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
-    # the exchange stops early and the witness finishes it: at most 15 eigh
-    # on Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), medians
-    # 10 and 4, against up to 68 and 44 when the exchange ran to its end; the
+    # Newton from the trace center finishes most Ginibre inputs, and the
+    # exchange, stopped early, with a witness the rest: at most 16 eigh on
+    # Ginibre and 5 on normal inputs at d = 8 (42 seeds x L/R/C), medians 5
+    # and 4, against up to 68 and 44 when the exchange ran to its end; the
     # budgets allow about 30 % more than those maxima, and the Ginibre median
-    # guard catches one spare eigensolve per call, such as the witness's
-    # Newton loop solving again at the center where the exchange just did
+    # guard catches one spare eigensolve per call, such as the exchange
+    # solving again at the trace center where Newton just did
     counts = []
     for seed in range(42):
         x = make(8, np.random.default_rng([441, seed]))
@@ -769,7 +804,7 @@ def test_radius_eigensolve_budget_per_family(monkeypatch, make, budget):
                 counts.append(_count_eigh(m, lambda a: radii.radius(a, kind), x))
     assert max(counts) <= budget
     if make is linalg.ginibre:
-        assert np.median(counts) <= 10
+        assert np.median(counts) <= 6
 
 
 def test_radius_round_cap(monkeypatch):
@@ -810,8 +845,9 @@ def _stress_set():
 
 
 def test_radius_routes(monkeypatch):
-    # the exchange stops at 1e-4 and the first route that closes the gap to
-    # 1e-13 value^2 finishes: (a) the kink witness, (b) the Newton witness,
+    # Newton from the trace center (n) finishes where it closes the gap to
+    # 1e-13 value^2; else the exchange stops at 1e-4 and the first route that
+    # closes it finishes: (a) the kink witness, (b) the Newton witness,
     # (c) the whole exchange; forcing (c) gives the same value
     taken = []
     calls = []
@@ -823,19 +859,26 @@ def test_radius_routes(monkeypatch):
     real_witness = radii._witness
 
     def fallback(x, kind):
-        # routes (a) and (b) yield nothing, so the exchange must resume
-        failed = []
+        # routes (n), (a) and (b) yield nothing, so the exchange must resume
+        calls.clear()
 
         def witness(b, msq, y, *rest):
-            if failed:
+            if calls.count("_exchange") == 2:
                 return real_witness(b, msq, y, *rest)
-            failed.append(y)
             return -math.inf, None, y, math.inf
 
         with monkeypatch.context() as m:
             m.setattr(radii, "_kink_witness", lambda *args: (-math.inf, None))
             m.setattr(radii, "_witness", witness)
-            return radii.radius(x, kind)
+            res = radii.radius(x, kind)
+        assert not calls or calls.count("_exchange") == 2
+        return res
+
+    def route(calls):
+        if "_exchange" not in calls:
+            return "n"
+        after = calls[calls.index("_exchange"):]  # past a Newton try that fell short
+        return "c" if after.count("_exchange") == 2 else "b" if "_witness" in after else "a"
 
     for x in _stress_set():
         for kind in "LRC":
@@ -843,18 +886,69 @@ def test_radius_routes(monkeypatch):
                 calls.clear()
                 res = radii.radius(c * x, kind)
                 if calls:  # not a scalar matrix
-                    taken.append("c" if calls.count("_exchange") == 2 else "b" if "_witness" in calls else "a")
+                    taken.append(route(calls))
                 assert res.gap <= 1e-13 * res.value * res.value
                 slow = fallback(c * x, kind)
                 assert abs(res.value - slow.value) <= 1e-14 * slow.value
-    assert set(taken) == {"a", "b", "c"}
+    assert set(taken) == {"n", "a", "b", "c"}
+
+
+def test_radius_never_counts_a_non_finite_witness_as_closed(monkeypatch):
+    # inf - (-inf) <= 1e-13 inf and 1 - inf <= 1e-13 both hold in floating
+    # point: a witness whose variance or top eigenvalue is not finite must
+    # leave the call to the exchange, which finds the same value
+    x = linalg.ginibre(8, np.random.default_rng([441, 0]))
+    real_witness = radii._witness
+    for kind in "LRC":
+        expect = radii.radius(x, kind)
+        for primal, top in ((-math.inf, math.inf), (math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan)):
+            tried = []
+
+            def witness(b, msq, y, eig, _bad=(primal, top)):
+                if tried:
+                    return real_witness(b, msq, y, eig)
+                tried.append(y)
+                return _bad[0], eig[1][:, -1], y, _bad[1]
+
+            with monkeypatch.context() as m:
+                m.setattr(radii, "_witness", witness)
+                res = radii.radius(x, kind)
+            assert tried == [0j]  # Newton from the trace center was tried, and failed
+            assert res.gap <= 1e-13 * res.value * res.value
+            assert abs(res.value - expect.value) <= 1e-14 * expect.value
+
+
+def test_radius_tries_newton_first_only_at_a_simple_top_off_an_eigenvector(monkeypatch):
+    # Newton from the trace center comes before any exchange on every
+    # Ginibre input here, and never on a normal one, where the top
+    # eigenvector of |B|^2 is an eigenvector of B, or at a double top, as on
+    # a trace-shifted 2 x 2 normal matrix
+    calls = []
+    for name in ("_exchange", "_witness"):
+        def counted(*args, _real=getattr(radii, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(radii, name, counted)
+
+    def shifted_normal(d, rng):
+        return linalg.random_normal_matrix(d, rng) + 3.0 * np.eye(d)
+
+    for make, d, newton in ((linalg.ginibre, 8, True), (linalg.random_normal_matrix, 8, False),
+                            (shifted_normal, 2, False)):
+        for seed in range(42):
+            x = make(d, np.random.default_rng([441, seed]))
+            for kind in "LRC":
+                calls.clear()
+                radii.radius(x, kind)
+                assert (calls[0] == "_witness") == newton, (make, seed, kind)
 
 
 def test_radius_tries_the_kink_witness_only_at_a_nearly_multiple_top(monkeypatch):
     # after the early stop the kink witness (a) is tried exactly where the
     # top two eigenvalues of |B - y|^2 agree to the cut, relatively: never
-    # on these Ginibre inputs, always on these normal ones.  Trying (a) on
-    # every pass finds the same values on the stress set
+    # on these Ginibre inputs, always on these normal ones; Newton from the
+    # trace center, before any exchange, only where they do not.  Trying (a)
+    # on every pass finds the same values on the stress set
     seen = []  # "x" per exchange, and (route, relative top gap at y) per witness
     for name, route in (("_exchange", None), ("_kink_witness", "a"), ("_witness", "b")):
         def counted(*args, _real=getattr(radii, name), _route=route):
@@ -872,9 +966,13 @@ def test_radius_tries_the_kink_witness_only_at_a_nearly_multiple_top(monkeypatch
             for kind in "LRC":
                 seen.clear()
                 radii.radius(x, kind)
-                taken, gap = seen[1]  # the first pass's first witness
-                assert seen[0] == "x" and taken == route
-                assert (taken == "a") == (gap <= radii._KINK_GAP)
+                if seen[0] != "x":  # Newton from the trace center
+                    taken, gap = seen.pop(0)
+                    assert taken == "b" and gap > radii._KINK_GAP
+                if seen:  # it did not close the gap
+                    taken, gap = seen[1]  # the first pass's first witness
+                    assert seen[0] == "x" and taken == route
+                    assert (taken == "a") == (gap <= radii._KINK_GAP)
     for x in _stress_set():
         for kind in "LRC":
             for c in (1.0, 1e-12, 1e12):
