@@ -124,10 +124,12 @@ def _complex_pair(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"expected 'RE,IM' (e.g. '0.5,-1.0'), got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'RE,IM' with numeric parts, got {text!r}") from None
+        z = None
+    if z is None or not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected 'RE,IM' with finite numeric parts, got {text!r}")
+    return z
 
 
 def _dims_list(text: str) -> tuple[int, ...]:

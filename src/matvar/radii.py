@@ -29,11 +29,11 @@ trace/d, and outputs are mapped back by ``linalg._unscaled``, which raises
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
-squared radius.  Newton's method from the trace center closes that gap
-where the top eigenvalue of |X - y|^2 there is simple and its eigenvector
-is no eigenvector of X; else its exchange stops at 1e-4 unless neither
-witness closes the gap, and the kink witness is tried there only where the
-top eigenvalue of |X - y|^2 is nearly multiple.
+squared radius.  Newton's method from the trace center, its step
+safeguarded, closes that gap where the top eigenvalue of |X - y|^2 there is
+simple and its eigenvector is no eigenvector of X; else its exchange stops
+at 1e-4 unless neither witness closes the gap, and the kink witness is
+tried there only where the top eigenvalue of |X - y|^2 is nearly multiple.
 ``central_numerical_radius`` finishes on the smallest disc of its grid's
 boundary points (by Newton's method when three fix it), and adds the
 points a failed certificate finds.  Every
@@ -148,9 +148,9 @@ _NEWTON_VARIANCE = 1e-8
 def _shifted_eigh(b: np.ndarray, msq: np.ndarray):
     """The map y -> eigenpairs of msq - conj(y) B - y B* + |y|^2, which is
     |B - y|_kind^2 for msq = |B|_kind^2, the same expansion for every kind;
-    B* and the identity are built once, not at every y."""
+    B* and the identity are built once, not at every y; at 0 msq is solved as is."""
     bh, eye = b.conj().T, np.eye(b.shape[0])
-    return lambda y: np.linalg.eigh(msq - np.conj(y) * b - y * bh + abs(y) ** 2 * eye)
+    return lambda y: np.linalg.eigh(msq - np.conj(y) * b - y * bh + abs(y) ** 2 * eye if y else msq)
 
 
 def _segment_hit(pa: complex, pb: complex, ab: complex, ba: complex, gab: complex,
@@ -247,35 +247,44 @@ def _witness(b: np.ndarray, msq: np.ndarray, y: complex,
     lam_max(|B - center|^2).
     With p_j = <v_j, (B - y) v>, q_j = <v, (B - y) v_j> and gaps g_j,
     r = <v, B v> - y moves by -(1 + a) dy - e conj(dy),
-    a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum 2 p_j q_j / g_j.  It stops
-    once |r| is at rounding level, or once a step no longer shrinks (as at a
-    kink, where Newton cannot converge), and after 8 steps at most.
+    a = sum (|p_j|^2 + |q_j|^2) / g_j, e = sum 2 p_j q_j / g_j; a step no
+    shorter than the last is cut to half the last one's length.  Iterates
+    are ranked by their variance lam_max - |r|^2; only the best one's is
+    evaluated.  It stops once |r| is at rounding level, once |r| has not
+    fallen below its least for three steps (as at a kink, where Newton
+    cannot converge), and after 12 steps at most.
     """
     w, v = eig
-    h = np.diag(w - w[-1])
     c = v.conj().T @ (b - y * np.eye(b.shape[0])) @ v
-    shifted = _shifted_eigh(c, h)
-    best = (-math.inf, None, y, float(w[-1]))
-    delta, last = 0j, math.inf
+    shifted = _shifted_eigh(c, np.diag(w - w[-1]))
+    lam, delta, last, least, stalls = float(w[-1]), 0j, math.inf, math.inf, 0
     mu, z = w - w[-1], np.eye(b.shape[0])  # the eigenpairs of the diagonal h, at delta = 0
-    for _ in range(8):
-        u = v @ z[:, -1]
-        top = float(mu[-1] + w[-1])  # lam_max(|B - y - delta|^2)
-        best = max(best, (_variance(b, msq, u), u, y + delta, top), key=lambda cand: cand[0])
-        cz = z.conj().T @ c @ z
-        r, p, q, g = cz[-1, -1] - delta, cz[:-1, -1], cz[-1, :-1], mu[-1] - mu[:-1]
-        split = g > 1e-13 * abs(w[-1])  # a multiple top (X direct-sum X, say): its partners do not couple
-        p, q, g = p[split], q[split], g[split]
-        if abs(r) * abs(r) <= 1e-16 * abs(w[-1]):  # the gap |r|^2 left is below rounding
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a, e = np.sum((abs(p) ** 2 + abs(q) ** 2) / g), np.sum(2.0 * p * q / g)
-            step = ((1.0 + a) * r - e * np.conj(r)) / ((1.0 + a) ** 2 - abs(e) ** 2)
-        if not abs(step) < last:  # also a step that is not finite
-            break
-        delta, last = delta + step, abs(step)
-        mu, z = shifted(delta)
-    return best
+    best = (-math.inf, z[:, -1], y, lam)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(13):
+            zt = z[:, -1]
+            p, q = z.conj().T @ (c @ zt), (zt.conj() @ c) @ z  # the last column and row of z* c z
+            r, top = complex(p[-1]) - delta, float(mu[-1]) + lam  # top = lam_max(|B - y - delta|^2)
+            res = abs(r)
+            best = max(best, (top - res * res, zt, y + delta, top), key=lambda cand: cand[0])
+            if res * res <= 1e-16 * abs(lam):  # the gap |r|^2 left is below rounding
+                break
+            least, stalls = (res, 0) if res < least else (least, stalls + 1)
+            if stalls == 3 or n == 12:
+                break
+            g = mu[-1] - mu[:-1]
+            split = g > 1e-13 * abs(lam)  # a multiple top (X direct-sum X, say): its partners do not couple
+            p, q, g = p[:-1][split], q[:-1][split], g[split]
+            qg = q / g
+            a, e = 1.0 + (np.vdot(p, p / g) + np.vdot(q, qg)).real, 2.0 * complex(p @ qg)
+            step = (a * r - e * r.conjugate()) / (a * a - abs(e) * abs(e))  # |step| <= |r|, as a >= 1 + |e|
+            if not math.isfinite(abs(step)):
+                break
+            step *= 1.0 if abs(step) < last else 0.5 * last / abs(step)
+            delta, last = delta + step, abs(step)
+            mu, z = shifted(delta)
+    u = v @ best[1]
+    return _variance(b, msq, u), u, best[2], best[3]
 
 
 def max_variance(x, kind: str) -> tuple[float, np.ndarray]:
@@ -316,10 +325,11 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     where the top eigenvalue of |X - y|^2 at the trace center y is simple,
     lam_1 - lam_2 > 1e-3 lam_1, and its eigenvector's variance is above
     1e-8 lam_1 (on a normal X it is an eigenvector of X, and the optimum a
-    kink), ``_witness`` runs from there with that eigensolve, and the value
-    is sqrt(lam_max) at its best center.  Else ``geometry._exchange``
-    minimises lam_max from the trace
-    center, starting from the same eigensolve, in one loop of at most two
+    kink), ``_witness`` runs from there with that eigensolve (at most 12
+    steps; one no shorter than the last is cut to half the last's length),
+    and the value is sqrt(lam_max) at its best center.  Else
+    ``geometry._exchange`` minimises lam_max from the trace center,
+    starting from the same eigensolve, in one loop of at most two
     passes: the first stops the exchange once the value is within 1e-4 of
     the disc's radius, relatively, and the second, route (c), resumes it
     with the first disc's support and runs it to its end.  After each
@@ -426,7 +436,10 @@ def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
     """Support-function membership test: z is in W(X) exactly when
     Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)), here checked at
     ``angles`` equispaced phi (half as many eigensolves for an even count).
-    The margin may fall short of 0 by 1e-8 times the largest |lam_max|."""
+    The margin may fall short of 0 by 1e-8 times the largest |lam_max|;
+    raises ``ValueError`` unless z is finite."""
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     unit, c = _scaled(require_square(x), max(abs(z.real), abs(z.imag)))  # z is neither lost nor overflows
     theta, h = _support_grid(c, angles)
     margin = float((h - (np.exp(1j * theta) * _divide(z, unit)).real).min())

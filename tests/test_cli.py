@@ -306,9 +306,13 @@ def test_cli_flag_errors(fixtures, capsys):
 @pytest.mark.parametrize("args", [
     ["compute", "numrange", "--input", "{f2}", "--z", "1"],
     ["compute", "numrange", "--input", "{f2}", "--z", "a,b"],
+    ["compute", "numrange", "--input", "{f2}", "--z=nan,0"],
+    ["compute", "numrange", "--input", "{f2}", "--z=inf,0"],
+    ["compute", "numrange", "--input", "{f2}", "--z=0,-inf"],
     ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2,x"],
     ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2.5"],
-], ids=["z-one-part", "z-not-numeric", "dims-not-integer", "dims-fraction"])
+], ids=["z-one-part", "z-not-numeric", "z-nan", "z-inf", "z-minus-inf-imaginary", "dims-not-integer",
+        "dims-fraction"])
 def test_flag_values_that_do_not_parse_exit_with_code_two(fixtures, capsys, args):
     with pytest.raises(SystemExit) as exc:
         main([a.format(f2=fixtures / "f2.json") for a in args])
