@@ -29,11 +29,11 @@ trace/d, and outputs are mapped back by ``linalg._unscaled``, which raises
 overflows, and the relative accuracy does not depend on the scale of X.
 ``radius`` certifies its value with an explicit pure-state witness:
 ``primal_value`` is the witness's variance and ``gap`` the distance to the
-squared radius.  Newton's method from the trace center, its step
-safeguarded, closes that gap where the top eigenvalue of |X - y|^2 there is
-simple and its eigenvector is no eigenvector of X; else its exchange stops
-at 1e-4 unless neither witness closes the gap, and the kink witness is
-tried there only where the top eigenvalue of |X - y|^2 is nearly multiple.
+squared radius.  The same witness step ends every pass at its center y: at
+the trace center, then where its exchange stops at 1e-4, then at its end;
+the kink witness where the top eigenvalue of |X - y|^2 is nearly multiple,
+Newton's method, its step safeguarded, where that falls short and the top
+eigenvector is no eigenvector of X.
 ``central_numerical_radius`` finishes on the smallest disc of its grid's
 boundary points (by Newton's method when three fix it), and adds the
 points a failed certificate finds.  Every
@@ -131,17 +131,17 @@ def _support_grid(a: np.ndarray, k: int, points: bool = False):
 # ---------------------------------------------------------------------------
 # radius and its variance witness
 
-# The early-stopped exchange tries the kink witness only where the top two
+# Every pass but the last tries the kink witness only where the top two
 # eigenvalues of |B - y|^2 agree to this, relatively.  On 300 seeded normal
 # inputs x L/R/C every kink it closed had a gap below 1.1e-14; on the radii
 # benchmark's 480 matrices x L/R/C every try that failed had one above
 # 1.3e-3 or below 1e-15
 _KINK_GAP = 1e-3
-# Newton from the trace center is tried only where, besides a top gap above
-# _KINK_GAP, the top eigenvector of |B|^2 has a variance above this, relative
-# to lam_max: at most 2.2e-15 on 42 seeded normal inputs x L/R/C at each d
-# in 3..16, where that vector is an eigenvector of B and the optimum a kink,
-# and at least 4.8e-2 on as many Ginibre ones
+# Newton's witness is tried only where the top eigenvector of |B - y|^2 has
+# a variance above this, relative to lam_max: at the trace center at most
+# 2.2e-15 on 42 seeded normal inputs x L/R/C at each d in 3..16, where that
+# vector is an eigenvector of B and the optimum a kink, and at least 4.8e-2
+# on as many Ginibre ones
 _NEWTON_VARIANCE = 1e-8
 
 
@@ -232,8 +232,10 @@ def _variance(b: np.ndarray, msq: np.ndarray, psi: np.ndarray) -> float:
 
 def _kink_witness(b: np.ndarray, msq: np.ndarray, y: complex, vecs: list) -> tuple[float, np.ndarray]:
     """The witness at a kink, and its variance: the unit u with
-    <u, B u> = y in the span of the top eigenvectors that fix the smallest
-    disc, at most three, whose field values hold its center y."""
+    <u, B u> = y in the span of the top eigenvectors ``vecs``, whose field
+    values hold y: the at most three that fix the exchange's disc, or at
+    the trace center every one within _KINK_GAP of the top.  Any unit u
+    gives a lower bound, so a miss only leaves the gap open."""
     u = _polygon_hit(b, vecs, y)
     return _variance(b, msq, u), u
 
@@ -320,29 +322,27 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     and lam_max(|X - y|^2), convex in y, is the largest |y - b|^2 + c over
     unit v, attained at a top eigenvector.  ``primal_value`` is the
     witness's variance, a lower bound on value^2, and ``gap`` is the
-    difference; the first route whose gap is 1e-13 value^2 or below
-    finishes.  First, for a smooth optimum, Newton from the trace center:
-    where the top eigenvalue of |X - y|^2 at the trace center y is simple,
-    lam_1 - lam_2 > 1e-3 lam_1, and its eigenvector's variance is above
-    1e-8 lam_1 (on a normal X it is an eigenvector of X, and the optimum a
-    kink), ``_witness`` runs from there with that eigensolve (at most 12
-    steps; one no shorter than the last is cut to half the last's length),
-    and the value is sqrt(lam_max) at its best center.  Else
-    ``geometry._exchange`` minimises lam_max from the trace center,
-    starting from the same eigensolve, in one loop of at most two
-    passes: the first stops the exchange once the value is within 1e-4 of
-    the disc's radius, relatively, and the second, route (c), resumes it
-    with the first disc's support and runs it to its end.  After each
-    exchange two witnesses are tried:
+    difference; the first pass whose gap is 1e-13 value^2 or below
+    finishes.  There are at most three passes, each at a center y valued
+    sqrt(lam_max(|B - y|^2)): pass 0 at the trace center, from one
+    eigensolve; pass 1 where ``geometry._exchange``, minimising lam_max
+    from the best center so far, stops once the value is within 1e-4 of
+    its disc's radius, relatively; pass 2, route (c), where the exchange
+    runs to its end from there, starting from its own first point.  Every
+    pass ends in the same witness step at y:
 
     (a) a kink: the unit vector with mean y in the span of the top
-        eigenvectors that fix the disc (``_kink_witness``).  A kink has a
-        multiple top eigenvalue, so the first pass tries (a) only where
+        eigenvectors (``_kink_witness``): after an exchange those that fix
+        its disc, at the trace center those within 1e-3 lam_1 of lam_1.  A
+        kink has a multiple top eigenvalue, so (a) is tried only where
         lam_1 - lam_2 <= 1e-3 lam_1 for the top two eigenvalues of
-        |B - y|^2 at y; the resumed pass always tries it;
-    (b) a smooth optimum, if (a) falls short or is not tried: ``_witness``
-        from y, starting from the exchange's eigenpairs at y, and the value
-        sqrt(lam_max) at its best center if that is lower.
+        |B - y|^2 at y, and always on the last pass;
+    (b) a smooth optimum, where (a) falls short or is not tried and the top
+        eigenvector's variance is above 1e-8 lam_1 (at an eigenvector of
+        X, as on a normal X, the optimum is a kink): ``_witness`` from y,
+        starting from the eigenpairs at y (at most 12 steps; one no
+        shorter than the last is cut to half the last's length), and the
+        value sqrt(lam_max) at its best center if that is lower.
 
     ``primal_value`` and ``gap`` are inf above a radius of about 1.3e154,
     where the square overflows.  Deterministic: ``restarts`` and ``seed``
@@ -359,46 +359,43 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     msq = modulus_squared(b, kind)
 
     shifted = _shifted_eigh(b, msq)
-    resumed = []  # the first disc's support, handed back when the exchange resumes
     eigs = {}  # the eigenpairs of |B - y|^2 at the trace center and every center the exchange tried
 
     def farthest(y: complex) -> tuple[float, list]:
-        if y not in eigs:  # the resumed exchange starts where the first one ended
+        if y not in eigs:  # the exchange starts where the last pass ended
             eigs[y] = shifted(y)
         w, v = eigs[y]
         top = v[:, -1]
         mean = complex(np.vdot(top, b @ top))
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
-        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)] + resumed
+        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)]
 
     def closed(value: float, primal: float) -> bool:  # never on an inf or nan: inf <= inf holds
         finite = math.isfinite(value) and math.isfinite(primal)
         return finite and value * value - primal <= 1e-13 * value * value
 
-    w, v = eigs[0j] = shifted(0j)  # the exchange's first round reuses this eigensolve
-    y, value, primal = 0j, math.inf, -math.inf
-    if w[-1] - w[-2] > _KINK_GAP * w[-1] and _variance(b, msq, v[:, -1]) > _NEWTON_VARIANCE * w[-1]:
-        primal, witness, centre, top = _witness(b, msq, 0j, eigs[0j])  # Newton from the trace center
-        at = math.sqrt(max(top, 0.0))
-        if closed(at, primal):
-            y, value = centre, at
-    for rtol in (1e-4, 0.0):  # at most 13 rounds, then 27 more, on a stress set (50 from the trace center)
-        if closed(value, primal):
-            break
-        y, value, disc, done = _exchange(farthest, y, rtol, 500)
-        if not done:
-            raise ConvergenceError("radius exchange hit its 500-round cap; value "
-                                   f"{unit * scale * value!r}, lower bound {unit * scale * disc.radius!r}")
-        w = eigs[y][0]
+    eigs[0j] = shifted(0j)  # pass 0, and the first exchange's first round
+    y, value = 0j, math.sqrt(max(float(eigs[0j][0][-1]), 0.0))
+    for rtol in (None, 1e-4, 0.0):  # exchanges of at most 10 rounds, then 22 more, on a stress set
+        if rtol is not None:
+            y, value, disc, done = _exchange(farthest, y, rtol, 500)
+            if not done:
+                raise ConvergenceError("radius exchange hit its 500-round cap; value "
+                                       f"{unit * scale * value!r}, lower bound "
+                                       f"{unit * scale * disc.radius!r}")
+        w, v = eigs[y]
         primal = -math.inf
-        if not rtol or w[-1] - w[-2] <= _KINK_GAP * w[-1]:  # (a) a kink, where the top is nearly multiple
-            primal, witness = _kink_witness(b, msq, y, [p[2] for p in disc.support])
-        if not closed(value, primal):  # (b) a smooth optimum
-            primal, witness, centre, top = _witness(b, msq, y, eigs[y])
+        if rtol == 0.0 or w[-1] - w[-2] <= _KINK_GAP * w[-1]:  # (a) a kink: a nearly multiple top
+            vecs = (list(v[:, w >= w[-1] - _KINK_GAP * w[-1]].T) if rtol is None  # the top ones at 0
+                    else [p[2] for p in disc.support])  # those that fix the disc
+            primal, witness = _kink_witness(b, msq, y, vecs)
+        if not closed(value, primal) and _variance(b, msq, v[:, -1]) > _NEWTON_VARIANCE * w[-1]:
+            primal, witness, centre, top = _witness(b, msq, y, eigs[y])  # (b) a smooth optimum
             at = math.sqrt(max(top, 0.0))
             if at < value:
                 y, value = centre, at
-        resumed.extend(disc.support)
+        if closed(value, primal):
+            break
     value = _unscaled(scale * value, unit, "radius")
     primal = unit * (scale * (unit * (scale * float(max(primal, 0.0)))))  # inf once the square overflows
     return RadiusResult(kind, _unscaled(shift + scale * y, unit, "center"), value, primal, witness)
