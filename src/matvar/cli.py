@@ -173,17 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nr = csub.add_parser("numrange", help="numerical radius, or membership of a point")
     add_common(p_nr)
     p_nr.add_argument("--angles", type=int, default=360,
-                      help="support angles of the membership test and the --json sample; for "
-                           "the numerical radius they only seed the polish, whose value the "
-                           "level-set test certifies")
+                      help="support angles of the membership grid with --z, and of the --json "
+                           "sample; the numerical radius is the library's, which the level-set "
+                           "test certifies")
     p_nr.add_argument("--z", type=_complex_pair, default=None,
                       help="test membership of the point RE,IM instead")
 
     p_wr = csub.add_parser("wradius", help="radius of the smallest disk containing the numerical range")
     add_common(p_wr)
-    p_wr.add_argument("--angles", type=int, default=None,
-                      help="support angles sampled around W(X), the library's default if not given; "
-                           "they only seed the finish, whose value the level-set test certifies")
 
     p_cb = csub.add_parser("commutator-bounds", help="evaluate commutator norm bounds on a pair")
     p_cb.add_argument("--x", required=True, help="matrix JSON file for X")
@@ -222,61 +219,50 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 
+def _emit(args, obj: dict, *lines: str) -> int:
+    """Print ``obj`` as JSON with --json, else the text lines."""
+    print(_dumps(obj) if args.json else "\n".join(lines))
+    return 0
+
+
 def _cmd_norm(args) -> int:
     x = load_matrix(args.input)
     spec = NormSpec.parse(args.spec)
     value = norm(x, spec)
-    if args.json:
-        print(_dumps({"spec": spec.label(), "value": value}))
-    else:
-        print(f"{value:.12g}")
-    return 0
+    return _emit(args, {"spec": spec.label(), "value": value}, f"{value:.12g}")
 
 
 def _cmd_radius(args) -> int:
     x = load_matrix(args.input)
     res = radius(x, args.kind)
-    if args.json:
-        print(_dumps({
-            "kind": res.kind,
-            "value": res.value,
-            "y_star": {"re": res.y_star.real, "im": res.y_star.imag},
-            "primal_value": _json_float(res.primal_value),
-            "gap": _json_float(res.gap),
-            "witness": {"re": res.witness.real.tolist(),
-                        "im": res.witness.imag.tolist()},
-        }))
-    else:
-        print(f"{res.value:.12g}")
-        print(f"center: {res.y_star.real:.12g}{res.y_star.imag:+.12g}i  "
-              f"gap: {res.gap:.3e}")
-    return 0
+    return _emit(args, {
+        "kind": res.kind,
+        "value": res.value,
+        "y_star": {"re": res.y_star.real, "im": res.y_star.imag},
+        "primal_value": _json_float(res.primal_value),
+        "gap": _json_float(res.gap),
+        "witness": {"re": res.witness.real.tolist(),
+                    "im": res.witness.imag.tolist()},
+    }, f"{res.value:.12g}",
+        f"center: {res.y_star.real:.12g}{res.y_star.imag:+.12g}i  gap: {res.gap:.3e}")
 
 
 def _cmd_variance(args) -> int:
     x = load_matrix(args.input)
     rho = load_matrix(args.rho)
     value = quantum_variance(x, rho, args.kind)
-    if args.json:
-        print(_dumps({"kind": args.kind, "value": value}))
-    else:
-        print(f"{value:.12g}")
-    return 0
+    return _emit(args, {"kind": args.kind, "value": value}, f"{value:.12g}")
 
 
 def _cmd_numrange(args) -> int:
     x = load_matrix(args.input)
     if args.z is not None:
         res = membership_in_range(x, args.z, angles=args.angles)
-        if args.json:
-            print(_dumps({"z": {"re": args.z.real, "im": args.z.imag},
-                          "member": res.member, "margin": res.margin}))
-        else:
-            verdict = "inside" if res.member else "outside"
-            print(f"{verdict}  margin: {res.margin:.6g}")
-        return 0
-    w = numerical_radius(x, grid=args.angles)
-    if args.json:
+        return _emit(args, {"z": {"re": args.z.real, "im": args.z.imag},
+                            "member": res.member, "margin": res.margin},
+                     f"{'inside' if res.member else 'outside'}  margin: {res.margin:.6g}")
+    w = numerical_radius(x)
+    if args.json:  # the sample is solved only when it is printed
         sample = numerical_range(x, args.angles)
         print(_dumps({
             "numerical_radius": w,
@@ -292,38 +278,25 @@ def _cmd_numrange(args) -> int:
 
 def _cmd_wradius(args) -> int:
     x = load_matrix(args.input)
-    kwargs = {} if args.angles is None else {"boundary_k": args.angles}  # else the library's default
-    z, value = central_numerical_radius(x, **kwargs)
-    if args.json:
-        print(_dumps({"value": value, "center": {"re": z.real, "im": z.imag}}))
-    else:
-        print(f"{value:.12g}")
-        print(f"center: {z.real:.12g}{z.imag:+.12g}i")
-    return 0
+    z, value = central_numerical_radius(x)
+    return _emit(args, {"value": value, "center": {"re": z.real, "im": z.imag}},
+                 f"{value:.12g}", f"center: {z.real:.12g}{z.imag:+.12g}i")
 
 
 def _cmd_commutator_bounds(args) -> int:
     x = load_matrix(args.x)
     y = load_matrix(args.y)
     rep = evaluate_bounds(x, y, args.p, args.q, args.r, slack_tol=args.tol)
-    if args.json:
-        print(_dumps({
-            "lhs": rep.lhs,
-            "ratio": rep.ratio,
-            "p": _json_float(args.p), "q": _json_float(args.q), "r": _json_float(args.r),
-            "bounds": [{"name": e.name, "value": e.value,
-                        "holds": e.holds, "slack": e.slack} for e in rep.bounds],
-        }))
-    else:
-        print(f"lhs: {rep.lhs:.12g}")
-        for e in rep.bounds:
-            status = "holds" if e.holds else "VIOLATED"
-            print(f"  {e.name:24s} {e.value:.12g}  ({status}, slack {e.slack:+.3e})")
-        if rep.ratio is not None:
-            print(f"ratio: {rep.ratio:.12g}")
-        else:
-            print("ratio: undefined (zero denominator)")
-    return 0
+    bounds = [f"  {e.name:24s} {e.value:.12g}  ({'holds' if e.holds else 'VIOLATED'}, "
+              f"slack {e.slack:+.3e})" for e in rep.bounds]
+    ratio = "undefined (zero denominator)" if rep.ratio is None else f"{rep.ratio:.12g}"
+    return _emit(args, {
+        "lhs": rep.lhs,
+        "ratio": rep.ratio,
+        "p": _json_float(args.p), "q": _json_float(args.q), "r": _json_float(args.r),
+        "bounds": [{"name": e.name, "value": e.value,
+                    "holds": e.holds, "slack": e.slack} for e in rep.bounds],
+    }, f"lhs: {rep.lhs:.12g}", *bounds, f"ratio: {ratio}")
 
 
 def _cmd_verify(args) -> int:

@@ -133,11 +133,14 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     (p = q = r = 2), the factor-2 Hoelder bound (1/p = 1/q + 1/r), the
     sharpened Frobenius chain through the Cartesian radius of Y (p = 2),
     and the normal-Y strengthening (p = 2, Y normal).  A bound holds when
-    it falls short of ||[X, Y]||_p by at most ``slack_tol`` times its value.
-    X and Y are first scaled by separate powers of two, so the ratio, the
-    verdicts and the bounds listed do not depend on their scale; ``lhs``,
-    values and slacks are mapped back, or raise ``OverflowError``.
+    it falls short of ||[X, Y]||_p by at most ``slack_tol`` times its value;
+    a ``slack_tol`` that is not finite raises ``ValueError``.  X and Y are
+    first scaled by separate powers of two, so the ratio, the verdicts and
+    the bounds listed do not depend on their scale; ``lhs``, values and
+    slacks are mapped back, or raise ``OverflowError``.
     """
+    if not math.isfinite(slack_tol):
+        raise ValueError(f"the tolerance must be finite, got {slack_tol!r}")
     a, b = _pair(x, y)
     p, q, r = _holder_exponents(p, q, r)
     (ux, a), (uy, b) = _scaled(a), _scaled(b)

@@ -432,13 +432,19 @@ class VerifyReport:
 
 def run_suite(suite: str, trials: int, dim_max: int, seed: int,
               tol: float = 1e-9) -> VerifyReport:
-    """Run every check of `suite` for `trials` independent trials each."""
+    """Run every check of `suite` for `trials` independent trials each.
+
+    A trial passes when its slack is at least -tol, or minus the check's own
+    tolerance where it fixes one; a `tol` that is not finite raises
+    ``ValueError``."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim_max < 2:
         raise ValueError(f"dim-max must be >= 2, got {dim_max}")
+    if not math.isfinite(tol):
+        raise ValueError(f"the tolerance must be finite, got {tol!r}")
     start = time.monotonic()
     results = []
     for check_id, fn, fixed_tol in _SUITES[suite]:

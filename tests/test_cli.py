@@ -18,8 +18,18 @@ from matvar.cli import (
     matrix_to_dict,
     save_matrix,
 )
-from matvar.linalg import ginibre
-from matvar.radii import ConvergenceError, central_numerical_radius
+from matvar.commutators import evaluate_bounds
+from matvar.linalg import ginibre, random_density, random_normal_matrix
+from matvar.norms import NormSpec, norm
+from matvar.radii import (
+    ConvergenceError,
+    central_numerical_radius,
+    membership_in_range,
+    numerical_radius,
+    numerical_range,
+    quantum_variance,
+    radius,
+)
 
 
 @pytest.fixture()
@@ -153,6 +163,71 @@ def test_wradius_default_matches_the_library(tmp_path, capsys):
         assert obj == {"value": value, "center": {"re": z.real, "im": z.imag}}
 
 
+def test_compute_commands_print_the_library_default_call(tmp_path, capsys):
+    # every other compute command prints its library call at the library's
+    # defaults, bit for bit; numrange's --angles sets only the membership
+    # grid with --z and the --json sample, never the numerical radius
+    def run(*argv) -> str:
+        assert main(["compute", *map(str, argv)]) == 0
+        return capsys.readouterr().out
+
+    def vector(v):
+        return {"re": v.real.tolist(), "im": v.imag.tolist()}
+
+    for trial, d in enumerate((2, 4, 7, 10, 13, 16)):
+        rng = np.random.default_rng([603, trial])
+        x = (random_normal_matrix if trial % 2 else ginibre)(d, rng)
+        files = {"x": tmp_path / "x.json", "y": tmp_path / "y.json", "rho": tmp_path / "rho.json"}
+        for key, matrix in (("x", x), ("y", ginibre(d, rng)), ("rho", random_density(d, 1 + trial % d, rng))):
+            save_matrix(files[key], matrix)
+        x, y, rho = (load_matrix(files[key]) for key in ("x", "y", "rho"))
+
+        for spec in ("schatten:1", "schatten:inf", "kyfanpk:2:2"):
+            obj = json.loads(run("norm", "--json", "--spec", spec, "--input", files["x"]))
+            spec = NormSpec.parse(spec)
+            assert obj == {"spec": spec.label(), "value": norm(x, spec)}
+        for kind in ("L", "R", "C"):
+            obj = json.loads(run("radius", "--json", "--kind", kind, "--input", files["x"]))
+            res = radius(x, kind)
+            assert obj == {"kind": kind, "value": res.value,
+                           "y_star": {"re": res.y_star.real, "im": res.y_star.imag},
+                           "primal_value": res.primal_value, "gap": res.gap,
+                           "witness": vector(res.witness)}
+            obj = json.loads(run("variance", "--json", "--kind", kind,
+                                 "--input", files["x"], "--rho", files["rho"]))
+            assert obj == {"kind": kind, "value": quantum_variance(x, rho, kind)}
+        for pqr in ((2, 2, 2), (2, 4, 4)):
+            obj = json.loads(run("commutator-bounds", "--json", "--x", files["x"], "--y", files["y"],
+                                 *(f"--{n}={v}" for n, v in zip("pqr", pqr))))
+            rep = evaluate_bounds(x, y, *pqr)
+            assert obj == {"lhs": rep.lhs, "ratio": rep.ratio, "p": pqr[0], "q": pqr[1], "r": pqr[2],
+                           "bounds": [{"name": e.name, "value": e.value, "holds": e.holds,
+                                       "slack": e.slack} for e in rep.bounds]}
+
+        w = numerical_radius(x)
+        assert run("numrange", "--input", files["x"]) == f"{w:.12g}\n"
+        for angles in (None, 64):
+            flag = () if angles is None else ("--angles", angles)
+            obj = json.loads(run("numrange", "--json", *flag, "--input", files["x"]))
+            sample = numerical_range(x, angles or 360)
+            assert obj == {"numerical_radius": w, "angles": sample.angles.tolist(),
+                           "support_values": sample.support_values.tolist(),
+                           "boundary": vector(sample.boundary_points)}
+            assert len(obj["angles"]) == (angles or 360)
+            centroid = complex(np.trace(x)) / d
+            for z in (centroid, centroid + 2.5 * w):  # inside W(X), and outside it
+                obj = json.loads(run("numrange", "--json", *flag, f"--z={z.real!r},{z.imag!r}",
+                                     "--input", files["x"]))
+                res = membership_in_range(x, z, angles=angles or 360)
+                assert obj == {"z": {"re": z.real, "im": z.imag}, "member": res.member,
+                               "margin": res.margin}
+
+    # the recentred radius has no seed flag: it always prints the default call
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "wradius", "--angles", "8", "--input", str(files["x"])])
+    assert exc.value.code == 2
+
+
 def test_commutator_bounds_cli(fixtures, capsys):
     assert main(["compute", "commutator-bounds",
                  "--x", str(fixtures / "pauli_x.json"),
@@ -185,6 +260,20 @@ def test_commutator_bounds_text_output(fixtures, tmp_path, capsys):
     save_matrix(zero, np.zeros((2, 2)))
     out = lines(zero, fixtures / "pauli_z.json")
     assert out[0] == "lhs: 0" and out[-1] == "ratio: undefined (zero denominator)"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "scalar", "--trials", "2", "--dim-max", "3"],
+    ["compute", "commutator-bounds", "--x", "{x}", "--y", "{z}", "--p", "2", "--q", "2", "--r", "2"],
+], ids=["verify", "commutator-bounds"])
+def test_a_tolerance_that_is_not_finite_exits_with_code_two(fixtures, capsys, command, tol):
+    # nan would fail every verdict that reads the tolerance, and inf pass every one
+    paths = {"x": fixtures / "pauli_x.json", "z": fixtures / "pauli_z.json"}
+    rc = main([a.format(**paths) for a in command] + [f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"error: the tolerance must be finite, got {tol}\n"
 
 
 def test_verify_cli(tmp_path, capsys):
