@@ -173,9 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nr = csub.add_parser("numrange", help="numerical radius, or membership of a point")
     add_common(p_nr)
     p_nr.add_argument("--angles", type=int, default=360,
-                      help="support angles of the membership grid with --z, and of the --json "
-                           "sample; the numerical radius is the library's, which the level-set "
-                           "test certifies")
+                      help="support angles of the --json sample only, never of --z")
     p_nr.add_argument("--z", type=_complex_pair, default=None,
                       help="test membership of the point RE,IM instead")
 
@@ -257,7 +255,7 @@ def _cmd_variance(args) -> int:
 def _cmd_numrange(args) -> int:
     x = load_matrix(args.input)
     if args.z is not None:
-        res = membership_in_range(x, args.z, angles=args.angles)
+        res = membership_in_range(x, args.z)
         return _emit(args, {"z": {"re": args.z.real, "im": args.z.imag},
                             "member": res.member, "margin": res.margin},
                      f"{'inside' if res.member else 'outside'}  margin: {res.margin:.6g}")

@@ -334,17 +334,23 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# convex hull membership (support function test)
+# convex hull membership (exact support-line margin)
 
 
-def hull_membership_margin(z: complex, points, angles: int = 720) -> float:
-    """min over directions of (support of points) - (support of z).
+def _support_margin(z: complex, points: np.ndarray, normals: np.ndarray) -> tuple[float, complex]:
+    """min max_k Re(conj(u) (p_k - z)) over the unit u along ``normals`` and from
+    each point to z, and its u: the signed distance from z to the boundary of the
+    hull (positive inside) once ``normals`` holds every hull edge's, else above."""
+    w = points - z
+    d = np.concatenate((normals, -w))
+    d = d[d != 0] if d.any() else np.ones(1)  # no direction: every point is z
+    u = _divide(d, np.abs(d))  # part by part: a subnormal modulus has no finite reciprocal
+    h = (np.stack((u.real, u.imag), 1) @ np.stack((w.real, w.imag))).max(axis=1)  # Re(conj(u) w)
+    return float(h.min()) + 0.0, complex(u[h.argmin()])  # + 0.0: no margin reads -0
 
-    Nonnegative (up to grid resolution) exactly when z lies in the convex
-    hull of the points.
-    """
+
+def hull_membership_margin(z: complex, points) -> float:
+    """The signed distance from z to the boundary of the points' convex hull,
+    positive inside, exactly: from both normals of every pair, a point at a time."""
     pts = _as_points(points)
-    theta = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
-    phase = np.exp(-1j * theta)
-    support = (phase[:, None] * pts[None, :]).real.max(axis=1)
-    return float((support - (phase * z).real).min())
+    return min(_support_margin(complex(z), pts, 1j * (pts - p))[0] for p in pts)

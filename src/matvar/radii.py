@@ -36,9 +36,10 @@ Newton's method, its step safeguarded, where that falls short and the top
 eigenvector is no eigenvector of X.
 ``central_numerical_radius`` finishes on the smallest disc of its grid's
 boundary points (by Newton's method when three fix it), and adds the
-points a failed certificate finds.  Every
-result is deterministic: nothing draws random numbers, and the ``restarts``
-and ``seed`` arguments of ``radius`` are accepted and ignored.
+points a failed certificate finds.  ``membership_in_range``'s margin has the
+sign of z's signed distance to the boundary of W(X) and at most its size.
+Every result is deterministic: nothing draws random numbers, and the
+``restarts`` and ``seed`` arguments of ``radius`` are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc
+from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc, _support_margin
 from .linalg import MODULUS_KINDS, _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
 
 __all__ = [
@@ -429,18 +430,33 @@ def numerical_range(x, k: int = 64) -> NumericalRangeSample:
                                 _unscaled(boundary, unit, "boundary points"))
 
 
-def membership_in_range(x, z: complex, angles: int = 360) -> Membership:
-    """Support-function membership test: z is in W(X) exactly when
-    Re(e^{i phi} z) never exceeds lam_max(Re(e^{i phi} X)), here checked at
-    ``angles`` equispaced phi (half as many eigensolves for an even count).
-    The margin may fall short of 0 by 1e-8 times the largest |lam_max|;
-    raises ``ValueError`` unless z is finite."""
+def membership_in_range(x, z: complex) -> Membership:
+    """Whether z lies in W(X), with a margin of the sign of z's signed distance
+    to the boundary of W(X) (positive inside) and never larger in size.  In
+    Carden's loop (Inverse Problems 25, 2009) z's signed distance lo to the
+    polygon of the 32-angle grid's boundary points bounds it below; while
+    lo < 0 the support line in lo's direction adds its point, and the least
+    h(theta) - Re(e^{i theta} z) so far, hi, bounds it above.  The margin is
+    lo at lo >= 0, 0 at lo >= -1e-14 max |h| (rounding), hi at hi < 0 (outside).
+    ``ConvergenceError`` after 64 probes; ``ValueError`` for z not finite."""
     if not np.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     unit, c = _scaled(require_square(x), max(abs(z.real), abs(z.imag)))  # z is neither lost nor overflows
-    theta, h = _support_grid(c, angles)
-    margin = float((h - (np.exp(1j * theta) * _divide(z, unit)).real).min())
-    return Membership(margin >= -1e-8 * float(np.abs(h).max()), _unscaled(margin, unit, "margin"))
+    z = _divide(z, unit)
+    theta, h, points = _support_grid(c, 32, points=True)
+    hi, tol = float((h - (np.exp(1j * theta) * z).real).min()), 1e-14 * float(np.abs(h).max())
+    for _ in range(64):
+        p = points[np.argsort(theta % (2.0 * math.pi))]  # clockwise: i (q - p) is an outward normal
+        lo, u = _support_margin(z, p, 1j * (np.roll(p, -1) - p))
+        if lo >= -tol:
+            return Membership(True, _unscaled(max(lo, 0.0), unit, "margin"))
+        t = -math.atan2(u.imag, u.real)  # the direction e^{-i t} = u
+        lam, v = _support(c, t, vectors=True)
+        theta, points = np.append(theta, t), np.append(points, v[:, -1].conj() @ c @ v[:, -1])
+        hi = min(hi, float(lam[-1] - (np.exp(1j * t) * z).real))
+        if hi < 0.0:
+            return Membership(False, _unscaled(hi, unit, "margin"))
+    raise ConvergenceError(f"z's margin still in [{unit * lo!r}, {unit * hi!r}] after 64 probes")
 
 
 _POLISH_XATOL = 1e-10

@@ -165,8 +165,7 @@ def test_wradius_default_matches_the_library(tmp_path, capsys):
 
 def test_compute_commands_print_the_library_default_call(tmp_path, capsys):
     # every other compute command prints its library call at the library's
-    # defaults, bit for bit; numrange's --angles sets only the membership
-    # grid with --z and the --json sample, never the numerical radius
+    # defaults, bit for bit; numrange's --angles sets only the --json sample
     def run(*argv) -> str:
         assert main(["compute", *map(str, argv)]) == 0
         return capsys.readouterr().out
@@ -218,7 +217,7 @@ def test_compute_commands_print_the_library_default_call(tmp_path, capsys):
             for z in (centroid, centroid + 2.5 * w):  # inside W(X), and outside it
                 obj = json.loads(run("numrange", "--json", *flag, f"--z={z.real!r},{z.imag!r}",
                                      "--input", files["x"]))
-                res = membership_in_range(x, z, angles=angles or 360)
+                res = membership_in_range(x, z)
                 assert obj == {"z": {"re": z.real, "im": z.imag}, "member": res.member,
                                "margin": res.margin}
 
@@ -226,6 +225,23 @@ def test_compute_commands_print_the_library_default_call(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "wradius", "--angles", "8", "--input", str(files["x"])])
     assert exc.value.code == 2
+
+
+def test_numrange_membership_ignores_angles(tmp_path, capsys):
+    # --angles sizes only the --json sample: --z prints the same bytes without it
+    def run(*argv) -> str:
+        assert main(["compute", "numrange", *argv]) == 0
+        return capsys.readouterr().out
+
+    for trial, d in enumerate((2, 5, 9)):
+        rng = np.random.default_rng([604, trial])
+        path = tmp_path / "x.json"
+        save_matrix(path, ginibre(d, rng))
+        for z in ("0,0", "0.3,-0.2", "4,1"):
+            for fmt in ((), ("--json",)):
+                out = run("--input", str(path), "--z", z, *fmt)
+                for angles in ("8", "9", "720"):
+                    assert run("--input", str(path), "--z", z, "--angles", angles, *fmt) == out
 
 
 def test_commutator_bounds_cli(fixtures, capsys):

@@ -484,8 +484,26 @@ def test_midpoint_polygon_contains_circle_center():
         assert hull_membership_margin(center, mids) >= -1e-9 * (1 + np.abs(poly).max())
 
 
-def test_hull_membership_margin():
+def test_hull_membership_margin(hull_distance):
+    # the margin is the signed distance from z to the hull's boundary
     square = [1.0 + 1j, 1.0 - 1j, -1.0 + 1j, -1.0 - 1j]
     assert hull_membership_margin(0.0, square) > 0.9
     assert hull_membership_margin(2.0, square) < -0.9
-    assert abs(hull_membership_margin(1.0, square)) <= 1e-3
+    assert abs(hull_membership_margin(1.0, square)) <= 1e-15
+    assert hull_membership_margin(1.0 + 1j, square) == 0.0  # a vertex
+    # one point, repeated points and a segment: a hull with no interior
+    assert hull_membership_margin(3.0 + 4j, [0.0]) == -5.0
+    assert hull_membership_margin(0.5, [0.5]) == 0.0
+    assert hull_membership_margin(2.0, [1.0, 1.0, 1.0]) == -1.0
+    assert hull_membership_margin(1.0, [1.0, 1.0, 1.0]) == 0.0
+    assert abs(hull_membership_margin(0.25j, [1j, -1j, 0.0, 1j])) <= 1e-15
+    assert abs(hull_membership_margin(1.0, [1j, -1j]) + 1.0) <= 1e-15
+    assert abs(hull_membership_margin(3j, [1j, -1j, 1j]) + 2.0) <= 1e-15
+    for trial in range(60):
+        rng = np.random.default_rng([311, trial])
+        n = int(rng.integers(1, 25))
+        pts = complex(*rng.standard_normal(2)) + rng.uniform(0.1, 10.0) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for z in (pts.mean(), pts[0], complex(*rng.standard_normal(2)), 3.0 * pts[-1]):
+            scale = 1.0 + np.abs(pts).max() + abs(z)
+            assert abs(hull_membership_margin(z, pts) - hull_distance(z, pts)) <= 1e-13 * scale

@@ -1101,7 +1101,7 @@ def test_radii_near_the_largest_float():
         assert abs(w / NEAR_MAX - 1.0) <= 1e-14
         assert abs(z) <= 1e-14 * NEAR_MAX
         assert radii.numerical_radius(x) == NEAR_MAX
-        assert radii.membership_in_range(x, 0).member
+        assert radii.membership_in_range(x, 0) == (True, 0.0)  # W(X) is a segment through 0
     # 0 is a vertex of W(X); Re(e^{i theta} X) overflows here even when halved
     assert radii.membership_in_range(np.diag([NEAR_MAX * (1 + 1j), -NEAR_MAX, 0]), 0).member
 
@@ -1124,9 +1124,14 @@ def test_membership_examples():
     res = radii.membership_in_range(linalg.PAULI_Z, 2.0)
     assert not res.member
     assert_allclose(res.margin, -1.0, atol=1e-9)
-    # the margin's allowance scales with X: W(1e-9 Z) is [-1e-9, 1e-9]
+    # the verdict scales with X: W(1e-9 Z) is [-1e-9, 1e-9]
     assert not radii.membership_in_range(1e-9 * linalg.PAULI_Z, 5e-9).member
     assert radii.membership_in_range(1e-9 * linalg.PAULI_Z, 5e-10).member
+    # and no allowance makes a point 1e-9 off the segment W(Z) a member
+    res = radii.membership_in_range(linalg.PAULI_Z, 1e-9j)
+    assert not res.member and abs(res.margin + 1e-9) <= 1e-15
+    # within rounding of W(X) a point is a member, with a margin no larger than its distance
+    assert radii.membership_in_range(np.eye(2), 1.0 + 1e-300j) == (True, 0.0)
     # diagonal entries always belong to the numerical range
     for trial in range(20):
         rng = np.random.default_rng([413, trial])
@@ -1139,6 +1144,34 @@ def test_membership_examples():
     far = radii.membership_in_range(1e-300 * linalg.ginibre(4, np.random.default_rng(413)), 1e10)
     assert not far.member
     assert abs(far.margin / -1e10 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("normal", [False, True])
+def test_membership_margin_is_a_certificate(hull_distance, normal):
+    # the margin has the sign of z's signed distance to the boundary of W(X)
+    # and never its size, against the hull of the eigenvalues for normal X and
+    # a 4096-angle support grid otherwise, which can understate an outside
+    # distance by about 3e-7 of it; the points are the radius-C center, x_00,
+    # and a point 1e-2 ||X|| outside a boundary point
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    for trial in range(24):
+        rng = np.random.default_rng([416, int(normal), trial])
+        d = 2 + trial % 15
+        x = (linalg.random_normal_matrix if normal else linalg.ginibre)(d, rng)
+        size = float(np.linalg.norm(x, 2))
+        if not normal:
+            phase = np.exp(1j * theta)[:, None, None]
+            h = np.linalg.eigvalsh(0.5 * (phase * x + np.conj(phase) * x.conj().T))[:, -1]
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        v = np.linalg.eigh(0.5 * (np.exp(1j * t) * x + np.exp(-1j * t) * x.conj().T))[1][:, -1]
+        outside = complex(np.vdot(v, x @ v)) + 1e-2 * size * np.exp(-1j * t)
+        for z in (radii.radius(x, "C").y_star, complex(x[0, 0]), outside):
+            ref = hull_distance(z, np.linalg.eigvals(x)) if normal else float(
+                (h - (np.exp(1j * theta) * z).real).min())
+            res = radii.membership_in_range(x, z)
+            assert abs(res.margin) <= abs(ref) * (1.0 + 1e-6) + 1e-12 * size
+            if abs(ref) > 1e-9 * size:
+                assert res.member == (ref > 0.0) and np.sign(res.margin) == np.sign(ref)
 
 
 def test_membership_rejects_a_point_that_is_not_finite():
