@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _divide, _scaled
+from .linalg import _divide, _scaled, _unscaled
 
 __all__ = [
     "Circle",
@@ -349,8 +349,24 @@ def _support_margin(z: complex, points: np.ndarray, normals: np.ndarray) -> tupl
     return float(h.min()) + 0.0, complex(u[h.argmin()])  # + 0.0: no margin reads -0
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """The vertices of the points' convex hull, counterclockwise, by Andrew's
+    monotone chain (Inf. Process. Lett. 9, 1979); at most two without interior."""
+    pts, hull = np.unique(points).tolist(), []  # sorted by real part, then imaginary part
+    for seq in (pts, pts[-2::-1]):  # the lower chain, then the upper one back to the first point
+        least = max(len(hull) + 1, 2)
+        for p in seq:
+            while len(hull) >= least and ((hull[-1] - hull[-2]).conjugate() * (p - hull[-2])).imag <= 0.0:
+                hull.pop()  # no left turn at hull[-1]
+            hull.append(p)
+    return np.array(hull[:-1] or pts)
+
+
 def hull_membership_margin(z: complex, points) -> float:
     """The signed distance from z to the boundary of the points' convex hull,
-    positive inside, exactly: from both normals of every pair, a point at a time."""
-    pts = _as_points(points)
-    return min(_support_margin(complex(z), pts, 1j * (pts - p))[0] for p in pts)
+    positive inside, exactly: from its edges' outward normals; ``ValueError`` for z not finite."""
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    unit, pts = _scaled(_as_points(points), max(abs(z.real), abs(z.imag)))  # no turn test under- or overflows
+    hull = _hull(pts)
+    return _unscaled(_support_margin(_divide(z, unit), hull, -1j * (np.roll(hull, -1) - hull))[0], unit, "margin")

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc, _support_margin
-from .linalg import MODULUS_KINDS, _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
+from .linalg import _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
 
 __all__ = [
     "RadiusResult",
@@ -66,6 +66,11 @@ __all__ = [
     "central_numerical_radius",
     "membership_in_range",
 ]
+
+
+# Seed angles of both numerical radii and membership: results are certified, so this sets only their
+# cost.  With every finish declined, 384 seeded recentrings took up to 15 of 16 rounds at 8, 13 at 32
+_GRID = 32
 
 
 def _angles(k: int) -> np.ndarray:
@@ -351,13 +356,11 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     hits its 500-round cap, ``OverflowError`` if the radius or center overflows.
     """
     a = require_square(x)
-    if kind not in MODULUS_KINDS:
-        raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     unit, shift, scale, b = _normalise(a)
+    msq = modulus_squared(b, kind)  # also rejects an unknown kind, before the zero input returns
     if not scale:
         return RadiusResult(kind, _unscaled(shift, unit, "center"), 0.0, 0.0,
                             np.eye(a.shape[0], dtype=np.complex128)[0])
-    msq = modulus_squared(b, kind)
 
     shifted = _shifted_eigh(b, msq)
     eigs = {}  # the eigenpairs of |B - y|^2 at the trace center and every center the exchange tried
@@ -443,7 +446,7 @@ def membership_in_range(x, z: complex) -> Membership:
         raise ValueError(f"z must be finite, got {z!r}")
     unit, c = _scaled(require_square(x), max(abs(z.real), abs(z.imag)))  # z is neither lost nor overflows
     z = _divide(z, unit)
-    theta, h, points = _support_grid(c, 32, points=True)
+    theta, h, points = _support_grid(c, _GRID, points=True)
     hi, tol = float((h - (np.exp(1j * theta) * z).real).min()), 1e-14 * float(np.abs(h).max())
     for _ in range(64):
         p = points[np.argsort(theta % (2.0 * math.pi))]  # clockwise: i (q - p) is an outward normal
@@ -554,22 +557,21 @@ def _certify(b: np.ndarray, z: complex, best: float, theta: np.ndarray, h: np.nd
     raise ConvergenceError("level-set test still found the value exceeded after 16 certifications")
 
 
-def numerical_radius(x, grid: int = 32) -> float:
+def numerical_radius(x) -> float:
     """w(X) = max_theta lam_max(Re(e^{i theta} X)), certified by the
     level-set test: w(X) lies in [value, value (1 + 1e-11)].
 
-    The ``grid`` equispaced support values (from half as many eigensolves
-    for an even count) only seed the search: the top one is ``_polish``-ed
-    and ``_certify`` finishes.  X is scaled by a power of two first,
-    so c X gives c w(X) to rounding.  Raises ``ConvergenceError`` after 16
-    tests, and ``OverflowError`` if w(X) overflows.
+    The support values of the 32-angle grid (from 16 eigensolves) only seed
+    the search: the top one is ``_polish``-ed and ``_certify`` finishes.
+    X is scaled by a power of two first, so c X gives c w(X) to rounding.
+    Raises ``ConvergenceError`` after 16 tests, ``OverflowError`` if w(X) overflows.
     """
     a = require_square(x)
     if not a.any():
         return 0.0
     unit, b = _scaled(a)
-    theta, h = _support_grid(b, grid)
-    spacing = 2.0 * math.pi / grid
+    theta, h = _support_grid(b, _GRID)
+    spacing = 2.0 * math.pi / _GRID
     t = float(theta[np.argmax(h)])
     best = max(float(h.max()), _polish(b, t, t - spacing, t + spacing, 0j, []))
     return _unscaled(_certify(b, 0j, best, theta, h, []), unit, "numerical radius")
@@ -631,15 +633,15 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
     return None
 
 
-def central_numerical_radius(x, boundary_k: int = 32) -> tuple[complex, float]:
+def central_numerical_radius(x) -> tuple[complex, float]:
     """min_z w(X - z 1) with its optimal recentering z: the radius and the
     center of the smallest disc containing the numerical range W(X),
     certified: w(X - z) lies in [value, value (1 + 1e-11)], and value is
     within 1e-11, relatively, of the smallest disc around some points of
     W(X), a lower bound.
 
-    The support values h at ``boundary_k`` angles (from half as many
-    eigensolves for an even count) give the first boundary points <v, X v>.
+    The support values h of the 32-angle grid (from 16 eigensolves) give
+    the first boundary points <v, X v>.
     Each round takes the smallest disc of the points so far and a center z:
     in the first round the trace center, valued max h, if that is within
     1e-11 of the radius; else ``_finish``'s center and value, by the width of
@@ -651,15 +653,11 @@ def central_numerical_radius(x, boundary_k: int = 32) -> tuple[complex, float]:
     set (at the disc's center a value above the radius comes from a point
     outside the disc).  Raises ``ConvergenceError`` at a cap (``_certify``'s
     or 16 rounds), and ``OverflowError`` if the radius or center overflows.
-    A ``boundary_k`` below 32 brings a declined finish near that cap: with
-    every finish declined, 384 seeded Ginibre and normal inputs (d from 2
-    to 16) took up to 15 rounds at 8 angles and 14 at 16, against 13 at
-    the default.
     """
     unit, shift, scale, b = _normalise(require_square(x))
     if not scale:
         return _unscaled(shift, unit, "center"), 0.0
-    theta, h, points = _support_grid(b, boundary_k, points=True)
+    theta, h, points = _support_grid(b, _GRID, points=True)
     top = float(h.max())
     for n in range(16):  # 2 at most on 519 seeded inputs, 13 with every finish declined
         z, lower, idx = _smallest_disc(points, np.zeros(points.size))
@@ -667,7 +665,7 @@ def central_numerical_radius(x, boundary_k: int = 32) -> tuple[complex, float]:
         if n == 0 and abs(top - lower) <= 1e-11 * top:
             z, value = 0j, top  # the trace center
         else:
-            end = _finish(b, list(points[idx]), z, 2.0 * math.pi / boundary_k, found)
+            end = _finish(b, list(points[idx]), z, 2.0 * math.pi / _GRID, found)
             if end is not None and abs(end[1] - end[2]) <= 1e-11 * end[1]:
                 z, value, lower = end[0], end[1], max(lower, end[2])
             else:

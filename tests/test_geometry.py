@@ -507,3 +507,21 @@ def test_hull_membership_margin(hull_distance):
         for z in (pts.mean(), pts[0], complex(*rng.standard_normal(2)), 3.0 * pts[-1]):
             scale = 1.0 + np.abs(pts).max() + abs(z)
             assert abs(hull_membership_margin(z, pts) - hull_distance(z, pts)) <= 1e-13 * scale
+    # large sets, cocircular ones included: every point a hull vertex
+    for n in (500, 1000):
+        rng = np.random.default_rng([311, n])
+        for pts in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                    np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)), np.exp(2j * math.pi * np.arange(n) / n)):
+            for z in (0.0, 0.999, 1.5j, pts[3], complex(*rng.standard_normal(2))):
+                scale = 1.0 + np.abs(pts).max() + abs(z)
+                assert abs(hull_membership_margin(z, pts) - hull_distance(z, pts)) <= 1e-13 * scale
+    # the margin follows the points from 1e-300 to 1e307, where the hull's
+    # turn tests would under- or overflow unscaled
+    pts = np.random.default_rng(313).standard_normal(12) + 1j * np.random.default_rng(314).standard_normal(12)
+    for z in (0.1, 5.0, pts[0]):
+        ref = hull_distance(z, pts)
+        for c in (1e-300, 1e-200, 1e200, 1e300, 2.0**1020):
+            assert abs(hull_membership_margin(c * z, c * pts) / c - ref) <= 1e-13 * (1.0 + abs(ref))
+    for z in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            hull_membership_margin(z, square)

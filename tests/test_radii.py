@@ -16,6 +16,13 @@ SQ2 = math.sqrt(2.0)
 E12 = linalg.basis_matrix(1, 2, 2)
 
 
+def _at_grid(k, solve, x):
+    """solve(x) with the seed grid of radii at k angles in place of 32."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radii, "_GRID", k)
+        return solve(x)
+
+
 def _second_moment_about(x, rho, c, kind):
     d = np.shape(x)[0]
     m = linalg.modulus_squared(x - c * np.eye(d), kind)
@@ -434,7 +441,7 @@ def test_level_set_crossings():
         jordan = np.eye(d, k=1, dtype=np.complex128)
         for x in (linalg.ginibre(d, rng), linalg.random_normal_matrix(d, rng),
                   linalg.random_hermitian(d, rng), jordan):
-            w = radii.numerical_radius(x, grid=4096)
+            w = _at_grid(4096, radii.numerical_radius, x)
             theta, h = radii._support_grid(x, 64)
             pole = float(theta[np.argmin(h)])
             assert radii._level_set(x, w * (1.0 + 1e-9), pole).size == 0
@@ -464,17 +471,17 @@ def test_numerical_radius_criss_cross(monkeypatch):
                         0.5, -0.5j])
         u = linalg.random_unitary(4, rng)
         x = (u * lam) @ u.conj().T + 1e-3 * linalg.ginibre(4, rng)
-        ref = radii.numerical_radius(x, grid=4096)
+        ref = _at_grid(4096, radii.numerical_radius, x)
         tests.clear()
-        w = radii.numerical_radius(x, grid=8)
+        w = _at_grid(8, radii.numerical_radius, x)
         assert len(tests) >= 2
         assert abs(w - ref) <= 1e-12 * ref
     # and on seeded Ginibre inputs the coarse and fine grids agree
     for s in range(20):
         x = linalg.ginibre(int(2 + s % 7), np.random.default_rng([433, s]))
-        ref = radii.numerical_radius(x, grid=4096)
+        ref = _at_grid(4096, radii.numerical_radius, x)
         for grid in (8, 9, 32):
-            assert abs(radii.numerical_radius(x, grid=grid) - ref) <= 1e-12 * ref
+            assert abs(_at_grid(grid, radii.numerical_radius, x) - ref) <= 1e-12 * ref
 
 
 def test_numerical_radius_scale_sweep():
@@ -547,7 +554,7 @@ def test_central_numerical_radius_certificate():
         for make in (linalg.ginibre, linalg.random_normal_matrix):
             x = make(d, np.random.default_rng([420, d]))
             z, w = radii.central_numerical_radius(x)
-            ref = radii.numerical_radius(x - z * np.eye(d), grid=4096)
+            ref = _at_grid(4096, radii.numerical_radius, x - z * np.eye(d))
             assert abs(w - ref) <= 1e-12 * ref
             assert not _recentred_level_set_above(x, z, w)
             assert w <= radii.radius(x, "C").value * (1.0 + 1e-11)
@@ -596,7 +603,7 @@ def test_central_numerical_radius_resumes_after_failed_certification(monkeypatch
         x = linalg.ginibre(2 + s % 7, rng)
         ref = radii.central_numerical_radius(x)[1]
         certified.clear()
-        z, w = radii.central_numerical_radius(x, boundary_k=8)
+        z, w = _at_grid(8, radii.central_numerical_radius, x)
         assert len(certified) >= 2
         assert abs(w - ref) <= 1e-11 * ref
         assert not _recentred_level_set_above(x, z, w)
@@ -740,7 +747,8 @@ def test_every_support_eigensolve_goes_through_support(monkeypatch, make):
     # the grid, the polish, the finish and the certificate all solve
     # Re(e^{i theta} X) through radii._support: every eigh or eigvalsh is
     # one of its calls, and a grid of k angles solves k / 2 matrices for
-    # even k and k for odd
+    # even k and k for odd.  The first solve of each seeded call is its
+    # grid of radii._GRID angles
     x = make(5, np.random.default_rng(442))
     solves, matrices, supports = [], [], []
     support = radii._support
@@ -759,10 +767,12 @@ def test_every_support_eigensolve_goes_through_support(monkeypatch, make):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     monkeypatch.setattr(radii, "_support", counted_support)
-    for k in (32, 9):
-        radii.numerical_radius(x, grid=k)
-        radii.central_numerical_radius(x, boundary_k=k)
-    radii.membership_in_range(x, 0.1j)
+    for k, n in ((32, 16), (9, 9)):
+        for solve in (radii.numerical_radius, radii.central_numerical_radius,
+                      lambda a: radii.membership_in_range(a, 0.1j)):
+            matrices.clear()
+            _at_grid(k, solve, x)
+            assert matrices[0] == n
     for k, n in ((8, 4), (9, 9)):
         matrices.clear()
         radii.numerical_range(x, k)
