@@ -23,13 +23,14 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     _scaled,
+    _singular_values,
     _unscaled,
     basis_matrix,
     ginibre,
     random_normal_matrix,
     require_square,
 )
-from .norms import NormSpec, _as_p, norm
+from .norms import NormSpec, _as_p, _evaluate, norm
 from .radii import quantum_variance, radius
 
 __all__ = [
@@ -245,11 +246,16 @@ class SearchResult:
     r: float
 
 
-def _trial_ratio(a: np.ndarray, b: np.ndarray, p: float, q: float, r: float) -> float | None:
-    denom = norm(a, NormSpec.schatten(q)) * norm(b, NormSpec.schatten(r))
+def _own_norm(m: np.ndarray, spec: NormSpec) -> float:
+    # norm(m, spec) for a finite complex128 matrix the search made itself: no copy, no re-validation
+    return _evaluate(_singular_values(m), spec)
+
+
+def _trial_ratio(a: np.ndarray, b: np.ndarray, p: NormSpec, q: NormSpec, r: NormSpec) -> float | None:
+    denom = _own_norm(a, q) * _own_norm(b, r)
     if denom < 1e-14:
         return None
-    return norm(a @ b - b @ a, NormSpec.schatten(p)) / denom
+    return _own_norm(a @ b - b @ a, p) / denom
 
 
 def _search_arguments(p, q, r, dims, trials: int) -> tuple[float, float, float, tuple[int, ...]]:
@@ -284,6 +290,8 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
             best_x, best_y = fam.x, fam.y
             best_source = f"family:{fam.name}"
 
+    specs = NormSpec.schatten(p), NormSpec.schatten(q), NormSpec.schatten(r)
+    frobenius = NormSpec.schatten(2)
     skipped = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -299,9 +307,9 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
             d = best_x.shape[0]
             a = best_x + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
             b = best_y + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            a = a / norm(a, NormSpec.schatten(2))
-            b = b / norm(b, NormSpec.schatten(2))
-        ratio = _trial_ratio(a, b, p, q, r)
+            a = a / _own_norm(a, frobenius)
+            b = b / _own_norm(b, frobenius)
+        ratio = _trial_ratio(a, b, *specs)
         if ratio is None:
             skipped += 1
             continue

@@ -170,7 +170,11 @@ def singular_values(x) -> np.ndarray:
     float; only then is it redone on X scaled by a power of two, and
     ``OverflowError`` names singular values past the largest float.
     """
-    a = as_matrix(x)
+    return _singular_values(as_matrix(x))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    # singular_values on a finite complex128 matrix, taken as it is: no copy, no finiteness scan
     sv = np.linalg.svd(a, compute_uv=False)
     if not math.isfinite(sv[0]):
         unit, c = _scaled(a)

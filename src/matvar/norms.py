@@ -120,7 +120,7 @@ def _p_sum(sv: np.ndarray, p: float) -> float:
     if p == 1.0 and top <= 1e300:  # a sum of terms up to 1e300 does not overflow
         return float(sv.sum())
     if p == 2.0 and 1e-150 <= top <= 1e150:  # no square overflows, and none that matters underflows
-        return float(np.sqrt(np.sum(sv * sv)))
+        return math.sqrt(float((sv * sv).sum()))
     # rescale by the top: for stability at large p, and far from unit scale
     if top == 0.0:
         return 0.0

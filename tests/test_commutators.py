@@ -21,10 +21,12 @@ from matvar.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _singular_values,
     as_density,
     basis_matrix,
     ginibre,
     random_normal_matrix,
+    singular_values,
 )
 from matvar.norms import NormSpec, norm
 
@@ -321,6 +323,61 @@ def test_search_deterministic():
     npt.assert_array_equal(a.witness_x, b.witness_x)
     npt.assert_array_equal(a.witness_y, b.witness_y)
     assert a.skipped == b.skipped == 0
+
+
+def _reference_search(p, q, r, dims, trials, seed):
+    # the trial loop with a validated norm(., NormSpec.schatten(.)) on every matrix
+    best_ratio, best_x, best_y, best_source = -math.inf, None, None, ""
+    for fam in witness_families(p, q, r):
+        if fam.exact_ratio > best_ratio:
+            best_ratio, best_x, best_y, best_source = fam.exact_ratio, fam.x, fam.y, f"family:{fam.name}"
+    skipped = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        u = rng.random()
+        if u < 0.7 or best_x is None:
+            d = int(dims[rng.integers(len(dims))])
+            a, b = ginibre(d, rng), ginibre(d, rng)
+        elif u < 0.9:
+            d = int(dims[rng.integers(len(dims))])
+            a = random_normal_matrix(d, rng)
+            b = random_normal_matrix(d, rng)
+        else:
+            d = best_x.shape[0]
+            a = best_x + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            b = best_y + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            a = a / norm(a, NormSpec.schatten(2))
+            b = b / norm(b, NormSpec.schatten(2))
+        denom = norm(a, NormSpec.schatten(q)) * norm(b, NormSpec.schatten(r))
+        if denom < 1e-14:
+            skipped += 1
+            continue
+        ratio = norm(a @ b - b @ a, NormSpec.schatten(p)) / denom
+        if ratio > best_ratio:
+            best_ratio, best_x, best_y, best_source = ratio, a, b, f"trial:{t}"
+    return best_ratio, best_x, best_y, best_source, skipped
+
+
+def test_search_matches_the_validated_reference_loop_bit_for_bit():
+    # the search evaluates its own matrices' norms unvalidated, from specs built once.  In the
+    # first six cases a witness family stays best; in the last a renormalised perturbation wins
+    for p, q, r, dims, seed in ((2, 2, 2, (2, 3), 7), (2, 2, math.inf, (2, 3), 1),
+                                (3, 3, math.inf, (2, 3, 4), 5), (1, 1, 2, (2,), 9),
+                                (4, 2, 4, (3, 5), 11), (3, 3, math.inf, (4, 8), 5),
+                                (math.inf, 1, 1, (2, 3), 3)):
+        res = search_constant(p, q, r, dims, trials=600, seed=seed)
+        ratio, x, y, source, skipped = _reference_search(float(p), float(q), float(r), dims, 600, seed)
+        assert (res.best_ratio, res.witness_source, res.skipped) == (ratio, source, skipped)
+        assert np.array_equal(res.witness_x, x) and np.array_equal(res.witness_y, y)
+    assert res.witness_source == "trial:579" and np.random.default_rng([3, 579]).random() >= 0.9
+
+
+def test_unvalidated_singular_values_keep_the_rescale():
+    near_max = 1.7e308
+    x = np.diag([near_max, -near_max / 2]).astype(np.complex128)
+    assert _singular_values(x).tolist() == singular_values(x).tolist()
+    with pytest.raises(OverflowError, match="the singular values"):
+        _singular_values(np.diag([near_max * (1 + 1j), -near_max]))
 
 
 def test_search_reports_gap_without_falsification():
