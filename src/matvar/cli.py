@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutators import _search_arguments, evaluate_bounds, search_constant
+from .commutators import _search_arguments, evaluate_bounds, search_constant, witness_families
 from .linalg import MODULUS_KINDS, PAULI_X, PAULI_Y, PAULI_Z, basis_matrix, f_matrix
 from .norms import NormSpec, _as_p, norm
 from .radii import (
@@ -304,19 +304,17 @@ def _cmd_verify(args) -> int:
                       + ("it is a directory" if path.is_dir() else "its parent is not a directory"))
     report = run_suite(args.suite, trials=args.trials, dim_max=args.dim_max,
                        seed=args.seed, tol=args.tol)
-    payload = _dumps(report.to_dict())
+    obj = report.to_dict()
     if path:
-        path.write_text(payload + "\n")
-    if args.json:
-        print(payload)
-    else:
-        for c in report.checks:
-            status = "PASS" if c.failed == 0 else "FAIL"
-            witness = f"  witness: {c.witness}" if c.failed or c.witness else ""
-            print(f"[{status}] {c.check_id}: pass={c.passed} fail={c.failed} "
-                  f"worst_slack={c.worst_slack:+.6e}{witness}")
-        print(f"{report.suite}: {report.total_failures} failures "
-              f"({report.trials} trials/check, {report.elapsed_ms} ms)")
+        path.write_text(_dumps(obj) + "\n")
+    lines = []
+    for c in report.checks:
+        status = "PASS" if c.failed == 0 else "FAIL"
+        witness = f"  witness: {c.witness}" if c.failed or c.witness else ""
+        lines.append(f"[{status}] {c.check_id}: pass={c.passed} fail={c.failed} "
+                     f"worst_slack={c.worst_slack:+.6e}{witness}")
+    _emit(args, obj, *lines, f"{report.suite}: {report.total_failures} failures "
+          f"({report.trials} trials/check, {report.elapsed_ms} ms)")
     return 0 if report.total_failures == 0 else 1
 
 
@@ -342,22 +340,17 @@ def _cmd_search(args) -> int:
         "seed": res.seed,
         "p": _json_float(res.p), "q": _json_float(res.q), "r": _json_float(res.r),
     }
+    lines = [f"best_ratio: {res.best_ratio:.12g}  (from {res.witness_source})"]
     if res.conjectured is not None:
         obj["conjectured"] = res.conjectured
         obj["gap"] = res.conjectured - res.best_ratio
-    if args.json:
-        print(_dumps(obj))
-    else:
-        print(f"best_ratio: {res.best_ratio:.12g}  (from {res.witness_source})")
-        if res.conjectured is not None:
-            print(f"conjectured: {res.conjectured:.12g}  "
-                  f"gap: {res.conjectured - res.best_ratio:.6g}")
-        if res.falsification:
-            print("FALSIFICATION CANDIDATE: ratio exceeds the conjectured "
-                  "constant by more than 1e-6; inspect the witness pair.")
-        if res.skipped:
-            print(f"skipped: {res.skipped} trials with denominator below 1e-14")
-    return 0
+        lines.append(f"conjectured: {res.conjectured:.12g}  gap: {obj['gap']:.6g}")
+    if res.falsification:
+        lines.append("FALSIFICATION CANDIDATE: ratio exceeds the conjectured "
+                     "constant by more than 1e-6; inspect the witness pair.")
+    if res.skipped:
+        lines.append(f"skipped: {res.skipped} trials with denominator below 1e-14")
+    return _emit(args, obj, *lines)
 
 
 _EXAMPLES = {
@@ -373,7 +366,6 @@ _EXAMPLES = {
 
 
 def _example_matrices() -> dict[str, np.ndarray]:
-    from .commutators import witness_families
     fams = {f.name: f for f in witness_families(2, 2, 2)}
     out = dict(_EXAMPLES)
     out["contraction"] = fams["contraction_unitary"].x

@@ -22,11 +22,13 @@ from .geometry import enclosing_circle
 from .linalg import (
     PAULI_X,
     PAULI_Z,
+    _require_finite,
     _scaled,
     _singular_values,
     _unscaled,
     basis_matrix,
     ginibre,
+    modulus_squared,
     random_normal_matrix,
     require_square,
 )
@@ -106,9 +108,7 @@ def rho_from_x(x) -> np.ndarray:
     a = _scaled(require_square(x))[1]  # rho(cX) = rho(X), and no square under- or overflows
     if not a.any():
         raise ValueError("matrix is zero; no density matrix to normalize")
-    m = a.conj().T @ a + a @ a.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return m / (2.0 * float(np.sum(np.abs(a) ** 2)))
+    return modulus_squared(a, "C") / float(np.sum(np.abs(a) ** 2))
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     the bounds listed do not depend on their scale; ``lhs``, values and
     slacks are mapped back, or raise ``OverflowError``.
     """
-    if not math.isfinite(slack_tol):
-        raise ValueError(f"the tolerance must be finite, got {slack_tol!r}")
+    _require_finite(slack_tol, "the tolerance")
     a, b = _pair(x, y)
     p, q, r = _holder_exponents(p, q, r)
     (ux, a), (uy, b) = _scaled(a), _scaled(b)
@@ -158,6 +157,7 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
 
     bounds: list[BoundEntry] = []
     x2 = norm(a, NormSpec.schatten(2))
+    two = min(2, a.shape[0])  # the Ky Fan 2-norms' order: a missing second singular value is 0
     if p == 2.0 and q == 2.0 and r == 2.0:
         bounds.append(entry("frobenius", math.sqrt(2.0) * x2 * norm(b, NormSpec.schatten(2))))
     if abs(_inv(p) - _inv(q) - _inv(r)) <= 1e-12:
@@ -168,13 +168,13 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
             bounds.append(entry("chain_variance", 2.0 * x2 * math.sqrt(var)))
         bounds.append(entry("chain_cartesian_radius", 2.0 * x2 * radius(b, "C").value))
         bounds.append(entry("chain_kyfan_two", math.sqrt(2.0) * x2
-                            * norm(b, NormSpec.kyfanpk(2, 2))))
+                            * norm(b, NormSpec.kyfanpk(2, two))))
         bounds.append(entry("chain_schatten", 2.0 ** max(0.5, 1.0 - _inv(p)) * x2
                             * norm(b, NormSpec.schatten(p))))
         normal = float(np.abs(b @ b.conj().T - b.conj().T @ b).max()) <= 1e-12 * float(np.abs(b).max()) ** 2
         if normal:
             bounds.append(entry("normal_radius", 2.0 * x2 * enclosing_circle(np.linalg.eigvals(b)).radius))
-            bounds.append(entry("normal_kyfan_two", x2 * norm(b, NormSpec.kyfan(2))))
+            bounds.append(entry("normal_kyfan_two", x2 * norm(b, NormSpec.kyfan(two))))
     return BoundReport(_unscaled_pair(lhs, ux, uy, "commutator norm"), bounds, ratio)
 
 

@@ -5,9 +5,9 @@ of bounded real samples, and one farthest-point exchange, ``_exchange``, for
 the smallest disc around points b_i with additive weights c_i >= 0,
 min_y max_i |y - b_i|^2 + c_i.  Over a finite set with every weight 0 it
 gives the smallest enclosing circle and the variance-maximizing distribution;
-``radii.radius`` runs it over states.  ``_minimise_2d``,
-an ellipsoid method, finds the center minimizing the power mean of the two
-largest distances.
+``radii.radius`` runs it over states.  ``two_largest_radius`` finds the
+center minimizing the power mean of the two largest distances by its own
+ellipsoid method, an independent reference for the enclosing circle.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _divide, _scaled, _unscaled
+from .linalg import _as_vector, _divide, _require_finite, _scaled, _unscaled
 
 __all__ = [
     "Circle",
@@ -37,15 +37,6 @@ class Circle(NamedTuple):
 
 class ConvergenceError(RuntimeError):
     """Raised when the center minimization reaches its iteration cap."""
-
-
-def _as_points(points) -> np.ndarray:
-    a = np.asarray(points, dtype=np.complex128).reshape(-1)
-    if a.size < 1:
-        raise ValueError("need at least one point")
-    if not np.isfinite(a).all():
-        raise ValueError("points must be finite")
-    return a
 
 
 def _as_probs(probs, n: int) -> np.ndarray:
@@ -74,18 +65,24 @@ def _centre(points: np.ndarray, floor: float = 0.0) -> tuple[complex, float, flo
 
 
 def variance(points, probs) -> float:
-    """sum_i p_i |x_i - mean|^2 for complex points x with weights p."""
-    x = _as_points(points)
+    """sum_i p_i |x_i - mean|^2 for complex points x with weights p;
+    ``OverflowError`` if it exceeds the largest float."""
+    unit, x = _scaled(_as_vector(points))  # no square under- or overflows; the variance maps back by unit^2
     p = _as_probs(probs, x.size)
     mu = np.dot(p, x)
-    return max(float(np.dot(p, np.abs(x - mu) ** 2)), 0.0)
+    square = max(float(np.dot(p, np.abs(x - mu) ** 2)), 0.0)
+    return _unscaled(_unscaled(square, unit, "variance"), unit, "variance")
 
 
 def murthy_sethi_bound(lo: float, hi: float) -> float:
-    """Largest possible variance of a real sample confined to [lo, hi]."""
+    """Largest possible variance of a real sample confined to [lo, hi];
+    ``OverflowError`` if it exceeds the largest float."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"need finite bounds with lo <= hi, got ({lo!r}, {hi!r})")
-    return 0.25 * (hi - lo) ** 2
+    half = 0.5 * hi - 0.5 * lo  # finite, where hi - lo may not be
+    if half < 2.0**511:  # (hi - lo)^2 is below the largest float
+        return 0.25 * (hi - lo) ** 2
+    return _unscaled(half, half, "variance bound")
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +215,14 @@ def enclosing_circle(points) -> Circle:
     """Smallest circle containing all points: the weighted disc of
     ``_smallest_disc`` with every weight 0 (unique, deterministic and
     scale-covariant)."""
-    pts = _as_points(points)
+    pts = _as_vector(points)
     return Circle(*_smallest_disc(pts, np.zeros(pts.size))[:2])
 
 
 def boundary_support(points, circle: Circle, tol: float = 1e-9) -> np.ndarray:
     """Indices of points within tol (relative to the radius) of the circle
     boundary."""
-    pts = _as_points(points)
+    pts = _as_vector(points)
     return np.flatnonzero(np.abs(np.abs(pts - circle.center) - circle.radius) <= tol * circle.radius)
 
 
@@ -242,7 +239,7 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     whose mean is the center.  Raises ``OverflowError`` when that square
     exceeds the largest float.
     """
-    pts = _as_points(points)
+    pts = _as_vector(points)
     center, radius, idx = _smallest_disc(pts, np.zeros(pts.size))
     rel = _divide(pts[idx] - center, radius or 1.0)  # radius 0: every point is the center
     lams = np.linalg.lstsq(np.array([rel.real, rel.imag, np.ones(len(idx))]),
@@ -253,42 +250,6 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     if math.isinf(square):
         raise OverflowError(f"the largest variance, the square of the radius {radius!r}, overflows")
     return probs, square
-
-
-# ---------------------------------------------------------------------------
-# convex minimisation over one complex center
-
-
-def _minimise_2d(oracle, r0: float, rtol: float, max_steps: int = 1000) -> tuple[complex, float]:
-    """Central-cut ellipsoid method for a convex f on the complex plane.
-
-    ``oracle(z)`` returns f(z) and a subgradient g (as a complex number); a
-    minimiser must lie in the disc |z| <= r0.  The ellipsoid
-    {z : (z - c)^T P^-1 (z - c) <= 1} holds every minimiser; each step keeps
-    the half that g points away from, and f(c) - sqrt(g^T P g) bounds min f
-    from below.  Stops once the best value is within rtol of that bound,
-    relatively, or once g^T P g = 0 (the ellipsoid has collapsed onto a
-    minimiser).  rtol = 1e-14 takes at most 250 steps for
-    ``two_largest_radius`` on up to 12 points.
-    """
-    c, p11, p12, p22 = 0j, r0 * r0, 0.0, r0 * r0
-    best_z, best_f, lower = c, math.inf, -math.inf
-    for _ in range(max_steps):
-        f, g = oracle(c)
-        if f < best_f:
-            best_z, best_f = c, f
-        px, py = p11 * g.real + p12 * g.imag, p12 * g.real + p22 * g.imag
-        gpg = g.real * px + g.imag * py
-        lower = max(lower, f - math.sqrt(max(gpg, 0.0)))
-        if best_f - lower <= rtol * best_f or gpg <= 0.0:
-            return best_z, best_f
-        px, py = px / math.sqrt(gpg), py / math.sqrt(gpg)
-        c -= complex(px, py) / 3.0
-        p11, p12, p22 = (4.0 / 3.0 * (p11 - 2.0 / 3.0 * px * px),
-                         4.0 / 3.0 * (p12 - 2.0 / 3.0 * px * py),
-                         4.0 / 3.0 * (p22 - 2.0 / 3.0 * py * py))
-    raise ConvergenceError(f"center search hit its {max_steps}-step cap; "
-                           f"best {best_f!r}, lower bound {lower!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +264,16 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
     symmetric gauge of the convex distances d_i = |x_i - z|, hence convex;
     with M its value, sum over the two farthest points of
     (d_i / M)^(p-1) (z - x_i) / (2 d_i) is a subgradient (for p = inf, the
-    unit vector from the farthest point), and the ellipsoid method solves it
-    to 1e-14 relative from the smallest disc about the centroid that holds
-    every point.  Raises ``ConvergenceError`` if that search hits its cap.
+    unit vector from the farthest point).  The central-cut ellipsoid method
+    solves it from the smallest disc about the centroid that holds every
+    point: the ellipsoid {u : (u - c)^T P^-1 (u - c) <= 1} holds every
+    minimiser, each step keeps the half that the subgradient g points away
+    from, and f(c) - sqrt(g^T P g) bounds min f from below.  It stops once the
+    best value is within 1e-14 of that bound, relatively, or once g^T P g = 0
+    (the ellipsoid has collapsed onto a minimiser): at most 250 steps on up to
+    12 points.  Raises ``ConvergenceError`` after 1,000 steps.
     """
-    pts = _as_points(points)
+    pts = _as_vector(points)
     if pts.size < 2:
         raise ValueError("need at least two points")
     if not (p >= 1.0):
@@ -329,8 +295,23 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
             grad += 0.5 * (second / val) ** (p - 1.0) * (u - near) / second
         return val, grad
 
-    u, val = _minimise_2d(oracle, 1.0, rtol=1e-14)
-    return centroid + spread * u * unit, spread * val * unit
+    c, p11, p12, p22 = 0j, 1.0, 0.0, 1.0
+    best_u, best, lower = c, math.inf, -math.inf
+    for _ in range(1000):
+        f, g = oracle(c)
+        if f < best:
+            best_u, best = c, f
+        px, py = p11 * g.real + p12 * g.imag, p12 * g.real + p22 * g.imag
+        gpg = g.real * px + g.imag * py
+        lower = max(lower, f - math.sqrt(max(gpg, 0.0)))
+        if best - lower <= 1e-14 * best or gpg <= 0.0:
+            return centroid + spread * best_u * unit, spread * best * unit
+        px, py = px / math.sqrt(gpg), py / math.sqrt(gpg)
+        c -= complex(px, py) / 3.0
+        p11, p12, p22 = (4.0 / 3.0 * (p11 - 2.0 / 3.0 * px * px),
+                         4.0 / 3.0 * (p12 - 2.0 / 3.0 * px * py),
+                         4.0 / 3.0 * (p22 - 2.0 / 3.0 * py * py))
+    raise ConvergenceError(f"center search hit its 1000-step cap; best {best!r}, lower bound {lower!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +346,7 @@ def _hull(points: np.ndarray) -> np.ndarray:
 def hull_membership_margin(z: complex, points) -> float:
     """The signed distance from z to the boundary of the points' convex hull,
     positive inside, exactly: from its edges' outward normals; ``ValueError`` for z not finite."""
-    if not np.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    unit, pts = _scaled(_as_points(points), max(abs(z.real), abs(z.imag)))  # no turn test under- or overflows
+    _require_finite(z, "z")
+    unit, pts = _scaled(_as_vector(points), max(abs(z.real), abs(z.imag)))  # no turn test under- or overflows
     hull = _hull(pts)
     return _unscaled(_support_margin(_divide(z, unit), hull, -1j * (np.roll(hull, -1) - hull))[0], unit, "margin")

@@ -40,13 +40,14 @@ __all__ = [
     "random_density",
     "random_unit_vector",
     "random_point_set",
-    "random_ensemble",
-    "ENSEMBLE_KINDS",
     "MODULUS_KINDS",
 ]
 
 # Relative tolerance for accepting a matrix as Hermitian.
 _HERM_TOL = 1e-12
+# A density matrix is Hermitian, has no eigenvalue below -_DENSITY_TOL and a
+# trace within _DENSITY_TOL of 1.
+_DENSITY_TOL = 1e-10
 # Eigenvalues of a nominally PSD matrix may undershoot zero by this much
 # (relative to the spectral scale) before we refuse to take a square root.
 _PSD_CLAMP = 1e-10
@@ -75,10 +76,10 @@ def require_square(x) -> np.ndarray:
     return a
 
 
-def is_hermitian(x, tol: float = _HERM_TOL) -> bool:
+def is_hermitian(x) -> bool:
     a = require_square(x)
     scale = 1.0 + float(np.abs(a).max())
-    return float(np.abs(a - a.conj().T).max()) <= tol * scale
+    return float(np.abs(a - a.conj().T).max()) <= _HERM_TOL * scale
 
 
 def as_hermitian(x, tol: float = _HERM_TOL) -> np.ndarray:
@@ -91,26 +92,38 @@ def as_hermitian(x, tol: float = _HERM_TOL) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def as_density(x, eig_tol: float = 1e-10, trace_tol: float = 1e-10) -> np.ndarray:
-    """Validate a density matrix: Hermitian, eigenvalues >= -eig_tol, unit trace."""
-    rho = as_hermitian(x, tol=1e-10)
+def as_density(x) -> np.ndarray:
+    """Validate a density matrix: Hermitian, eigenvalues >= -1e-10, trace 1 to 1e-10."""
+    rho = as_hermitian(x, tol=_DENSITY_TOL)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _DENSITY_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr!r}")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < -eig_tol:
+    if w.min() < -_DENSITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return rho
 
 
-def as_unit_vector(x, tol: float = 1e-12) -> np.ndarray:
+def _as_vector(x) -> np.ndarray:
+    # x flattened to a fresh complex128 vector with at least one entry, all finite
     v = np.array(x, dtype=np.complex128, copy=True).reshape(-1)
     if v.size < 1 or not np.isfinite(v).all():
         raise ValueError("expected a finite nonempty vector")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"vector norm {n!r} is not 1 within {tol:.1e}")
     return v
+
+
+def as_unit_vector(x) -> np.ndarray:
+    v = _as_vector(x)
+    n = float(np.linalg.norm(v))
+    if abs(n - 1.0) > 1e-12:
+        raise ValueError(f"vector norm {n!r} is not 1 within 1.0e-12")
+    return v
+
+
+def _require_finite(value, name: str) -> None:
+    # a scalar, real or complex, from outside the program
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +339,3 @@ def random_point_set(n: int, seed) -> np.ndarray:
         raise ValueError("point set needs at least one point")
     g = _rng(seed)
     return (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2.0)
-
-
-ENSEMBLE_KINDS = ("ginibre", "hermitian", "normal_matrix", "density", "unit_vector", "point_set")
-
-
-def random_ensemble(kind: str, d: int, seed, *, rank: int | None = None, n: int | None = None):
-    """Dispatch to one of the seeded samplers; deterministic in (kind, d, seed)."""
-    if kind == "ginibre":
-        return ginibre(d, seed)
-    if kind == "hermitian":
-        return random_hermitian(d, seed)
-    if kind == "normal_matrix":
-        return random_normal_matrix(d, seed)
-    if kind == "density":
-        return random_density(d, d if rank is None else rank, seed)
-    if kind == "unit_vector":
-        return random_unit_vector(d, seed)
-    if kind == "point_set":
-        return random_point_set(d if n is None else n, seed)
-    raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _scaled, _unscaled, f_matrix, require_square, singular_values
+from .linalg import _as_vector, _scaled, _unscaled, f_matrix, require_square, singular_values
 
 __all__ = ["NormSpec", "norm", "vector_norm", "f_ratio_bounds"]
 
@@ -149,11 +149,7 @@ def norm(x, spec: NormSpec) -> float:
 
 def vector_norm(v, spec: NormSpec) -> float:
     """Norm of diag(v): the same symmetric gauge applied to |v| sorted."""
-    a = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if a.size < 1 or not np.isfinite(a).all():
-        raise ValueError("expected a finite nonempty vector")
-    mags = np.sort(np.abs(a))[::-1]
-    return _evaluate(mags, spec)
+    return _evaluate(np.sort(np.abs(_as_vector(v)))[::-1], spec)
 
 
 def f_ratio_bounds(x, spec: NormSpec) -> tuple[float, float, float]:

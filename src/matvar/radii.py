@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc, _support_margin
-from .linalg import _divide, _scaled, _unscaled, as_density, modulus_squared, require_square
+from .linalg import _divide, _require_finite, _scaled, _unscaled, as_density, modulus_squared, require_square
 
 __all__ = [
     "RadiusResult",
@@ -442,8 +442,7 @@ def membership_in_range(x, z: complex) -> Membership:
     h(theta) - Re(e^{i theta} z) so far, hi, bounds it above.  The margin is
     lo at lo >= 0, 0 at lo >= -1e-14 max |h| (rounding), hi at hi < 0 (outside).
     ``ConvergenceError`` after 64 probes; ``ValueError`` for z not finite."""
-    if not np.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+    _require_finite(z, "z")
     unit, c = _scaled(require_square(x), max(abs(z.real), abs(z.imag)))  # z is neither lost nor overflows
     z = _divide(z, unit)
     theta, h, points = _support_grid(c, _GRID, points=True)
@@ -577,14 +576,14 @@ def numerical_radius(x) -> float:
     return _unscaled(_certify(b, 0j, best, theta, h, []), unit, "numerical radius")
 
 
-def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
-            found: list) -> tuple[complex, float, float] | None:
+def _finish(b: np.ndarray, ends: list, z: complex, found: list) -> tuple[complex, float, float] | None:
     """The smallest disc around W(B) from the two or three boundary points
     ``ends`` that fix a disc centered at z, as ``(center, value, lower)``:
     g_z attains value at the center, and lower is the radius of the
-    smallest disc around points of W(B).  Every angle moves at most one grid
-    ``spacing`` from its start, which is exact at a corner of W(B).  Every
-    boundary point evaluated is appended to ``found`` with its angle.
+    smallest disc around points of W(B).  Every angle moves at most one
+    spacing of the ``_GRID``-angle grid from its start, which is exact at a
+    corner of W(B).  Every boundary point evaluated is appended to ``found``
+    with its angle.
 
     Two points p, q fix the disc at half the diameter of W(B), the largest
     width h(theta) + h(theta + pi): ``_polish`` climbs it from -arg(p - q),
@@ -600,7 +599,7 @@ def _finish(b: np.ndarray, ends: list, z: complex, spacing: float,
     triangle hands its longest side to the width route.  None on a zero
     top gap, on f'' >= 0, or after 8 passes.
     """
-    start = -np.angle(np.array(ends) - z)
+    start, spacing = -np.angle(np.array(ends) - z), 2.0 * math.pi / _GRID
     t, last = start, math.inf
     for _ in range(8):
         if len(ends) == 2:
@@ -665,7 +664,7 @@ def central_numerical_radius(x) -> tuple[complex, float]:
         if n == 0 and abs(top - lower) <= 1e-11 * top:
             z, value = 0j, top  # the trace center
         else:
-            end = _finish(b, list(points[idx]), z, 2.0 * math.pi / _GRID, found)
+            end = _finish(b, list(points[idx]), z, found)
             if end is not None and abs(end[1] - end[2]) <= 1e-11 * end[1]:
                 z, value, lower = end[0], end[1], max(lower, end[2])
             else:

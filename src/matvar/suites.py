@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .linalg import (
     MODULUS_KINDS,
+    _require_finite,
     ginibre,
     modulus,
     random_normal_matrix,
@@ -443,8 +444,7 @@ def run_suite(suite: str, trials: int, dim_max: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim_max < 2:
         raise ValueError(f"dim-max must be >= 2, got {dim_max}")
-    if not math.isfinite(tol):
-        raise ValueError(f"the tolerance must be finite, got {tol!r}")
+    _require_finite(tol, "the tolerance")
     start = time.monotonic()
     results = []
     for check_id, fn, fixed_tol in _SUITES[suite]:

@@ -257,6 +257,20 @@ def test_commutator_bounds_cli(fixtures, capsys):
     assert abs(by_name["frobenius"]["slack"]) <= 1e-12
 
 
+def test_commutator_bounds_on_one_by_one_pairs(tmp_path, capsys):
+    # a 1 x 1 matrix has one singular value: its Ky Fan 2-norm takes the missing second one as 0
+    x, y = np.array([[2.0 - 1.0j]]), np.array([[0.5j]])
+    rep = evaluate_bounds(x, y, 2, 2, 2)
+    assert rep.lhs == 0.0
+    assert {"chain_kyfan_two", "normal_kyfan_two"} <= {e.name for e in rep.bounds}
+    assert all(e.holds for e in rep.bounds)
+    save_matrix(tmp_path / "x.json", x)
+    save_matrix(tmp_path / "y.json", y)
+    assert main(["compute", "commutator-bounds", "--x", str(tmp_path / "x.json"),
+                 "--y", str(tmp_path / "y.json"), "--p", "2", "--q", "2", "--r", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "lhs: 0"
+
+
 def test_commutator_bounds_text_output(fixtures, tmp_path, capsys):
     def lines(x, y, *extra):
         assert main(["compute", "commutator-bounds", "--x", str(x), "--y", str(y),

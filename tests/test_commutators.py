@@ -372,6 +372,21 @@ def test_search_matches_the_validated_reference_loop_bit_for_bit():
     assert res.witness_source == "trial:579" and np.random.default_rng([3, 579]).random() >= 0.9
 
 
+def test_trial_ratio_is_the_validated_ratio_bit_for_bit():
+    # each trial's ratio is ||ab - ba||_p / (||a||_q ||b||_r); with q != r a swap of the two shows
+    swapped = False
+    for p, q, r in ((2, 1, 4), (3, 2, math.inf), (4, 1.5, 3)):
+        specs = [NormSpec.schatten(e) for e in (p, q, r)]
+        for d in range(2, 9):
+            rng = np.random.default_rng([29, d])
+            a, b = ginibre(d, rng), ginibre(d, rng)
+            comm = norm(a @ b - b @ a, specs[0])
+            ratio = comm / (norm(a, specs[1]) * norm(b, specs[2]))
+            assert commutators._trial_ratio(a, b, *specs) == ratio
+            swapped |= ratio != comm / (norm(a, specs[2]) * norm(b, specs[1]))
+    assert swapped
+
+
 def test_unvalidated_singular_values_keep_the_rescale():
     near_max = 1.7e308
     x = np.diag([near_max, -near_max / 2]).astype(np.complex128)

@@ -173,6 +173,19 @@ def test_variance_examples():
         variance([0.0, 1.0], [1.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_variance_and_spread_bound_near_the_largest_float():
+    # the variance is taken in a power-of-two unit, so its squares do not overflow before the result
+    assert variance([0.0, 1e160], [1.0 - 1e-100, 1e-100]) == pytest.approx(1e220, rel=1e-12)
+    with pytest.raises(OverflowError, match="the variance"):
+        variance([1e200, -1e200], [0.5, 0.5])
+    # the bound is returned whenever it is finite, even where (hi - lo)^2 is not
+    assert murthy_sethi_bound(-1e154, 1e154) == pytest.approx(1e308, rel=1e-12)
+    for lo, hi in ((-1e200, 1e200), (-1.7e308, 1.7e308)):
+        with pytest.raises(OverflowError, match="the variance bound"):
+            murthy_sethi_bound(lo, hi)
+
+
 def test_variance_never_exceeds_spread_bound():
     assert_allclose(murthy_sethi_bound(0.0, 2.0), 1.0, atol=1e-15)
     assert_allclose(murthy_sethi_bound(-1.0, 1.0), 1.0, atol=1e-15)

@@ -262,12 +262,3 @@ def test_ensembles_deterministic_and_well_formed():
 
     with pytest.raises(ValueError, match="rank"):
         linalg.random_density(3, 4, 0)
-
-
-def test_random_ensemble_dispatch():
-    for kind in linalg.ENSEMBLE_KINDS:
-        a = linalg.random_ensemble(kind, 4, 21, rank=2, n=6)
-        b = linalg.random_ensemble(kind, 4, 21, rank=2, n=6)
-        assert_allclose(a, b)
-    with pytest.raises(ValueError, match="kind"):
-        linalg.random_ensemble("wishart", 3, 0)

@@ -1056,8 +1056,8 @@ def test_central_numerical_radius_routes(monkeypatch):
     calls = []
     finish = radii._finish
 
-    def counted_finish(b, ends, z, spacing, found):
-        end = finish(b, ends, z, spacing, found)
+    def counted_finish(b, ends, z, found):
+        end = finish(b, ends, z, found)
         calls.append(len(ends) if end is not None else None)
         return end
 
