@@ -4,8 +4,8 @@ for commutator norms.
 
 The package is organized bottom-up:
 
-- `linalg`: validated eigendecompositions, moduli, fixed matrices, ensembles,
-  and the one power-of-two scaling (`_scaled`, `_unscaled`) every layer uses
+- `linalg`: input validation, singular values, moduli, fixed matrices,
+  ensembles, and the one power-of-two scaling (`_scaled`, `_unscaled`) every layer uses
 - `norms`: Schatten / Ky Fan / weighted-gauge norms and their comparisons
 - `geometry`: planar enclosing circles and maximum-variance distributions
 - `radii`: minimal-shift matrix radii, their duality with state variance,

@@ -24,7 +24,6 @@ __all__ = [
     "variance",
     "murthy_sethi_bound",
     "enclosing_circle",
-    "boundary_support",
     "max_variance_distribution",
     "two_largest_radius",
     "hull_membership_margin",
@@ -217,13 +216,6 @@ def enclosing_circle(points) -> Circle:
     scale-covariant)."""
     pts = _as_vector(points)
     return Circle(*_smallest_disc(pts, np.zeros(pts.size))[:2])
-
-
-def boundary_support(points, circle: Circle, tol: float = 1e-9) -> np.ndarray:
-    """Indices of points within tol (relative to the radius) of the circle
-    boundary."""
-    pts = _as_vector(points)
-    return np.flatnonzero(np.abs(np.abs(pts - circle.center) - circle.radius) <= tol * circle.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel.
 
-Eigendecompositions of Hermitian matrices, singular values, the three matrix
-moduli (left, right, Cartesian), Cartesian decomposition, a handful of fixed
-matrices, and seeded random ensembles.  Everything operates on plain
-complex128 numpy arrays; no global state.  The power-of-two scaling every
-other module uses, ``_scaled`` and its map back ``_unscaled``, lives here.
+Input validation, singular values, the three matrix moduli (left, right,
+Cartesian), a handful of fixed matrices, and seeded random ensembles.
+Everything operates on plain complex128 numpy arrays; no global state.  The
+power-of-two scaling every other module uses, ``_scaled`` and its map back
+``_unscaled``, lives here.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "require_square",
-    "as_hermitian",
     "is_hermitian",
     "as_density",
     "as_unit_vector",
-    "hermitian_eig",
     "singular_values",
-    "psd_sqrt",
     "modulus",
     "modulus_squared",
-    "cartesian_parts",
-    "identity",
     "basis_matrix",
     "f_matrix",
     "PAULI_X",
@@ -37,8 +32,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "random_normal_matrix",
-    "random_density",
-    "random_unit_vector",
     "random_point_set",
     "MODULUS_KINDS",
 ]
@@ -48,9 +41,6 @@ _HERM_TOL = 1e-12
 # A density matrix is Hermitian, has no eigenvalue below -_DENSITY_TOL and a
 # trace within _DENSITY_TOL of 1.
 _DENSITY_TOL = 1e-10
-# Eigenvalues of a nominally PSD matrix may undershoot zero by this much
-# (relative to the spectral scale) before we refuse to take a square root.
-_PSD_CLAMP = 1e-10
 
 MODULUS_KINDS = ("L", "R", "C")
 
@@ -82,19 +72,14 @@ def is_hermitian(x) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= _HERM_TOL * scale
 
 
-def as_hermitian(x, tol: float = _HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity up to ``tol`` (relative) and symmetrize."""
+def as_density(x) -> np.ndarray:
+    """Validate a density matrix: Hermitian, eigenvalues >= -1e-10, trace 1 to 1e-10."""
     a = require_square(x)
     scale = 1.0 + float(np.abs(a).max())
     dev = float(np.abs(a - a.conj().T).max())
-    if dev > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return 0.5 * (a + a.conj().T)
-
-
-def as_density(x) -> np.ndarray:
-    """Validate a density matrix: Hermitian, eigenvalues >= -1e-10, trace 1 to 1e-10."""
-    rho = as_hermitian(x, tol=_DENSITY_TOL)
+    if dev > _DENSITY_TOL * scale:
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {_DENSITY_TOL:.1e} * {scale:.3e}")
+    rho = 0.5 * (a + a.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > _DENSITY_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr!r}")
@@ -153,27 +138,11 @@ def _unscaled(q, unit: float, name: str):
             out = q * unit
         if np.isfinite(out).all():
             return out
-    raise OverflowError(f"the {name}, {unit!r} times {float(np.abs(q).max())!r}, overflows")
+    raise OverflowError(f"the {name}, {float(unit)!r} times {float(np.abs(q).max())!r}, overflows")
 
 
 # ---------------------------------------------------------------------------
 # decompositions
-
-
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    hh = as_hermitian(h)
-    try:
-        w, v = np.linalg.eigh(hh)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy failure path
-        raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    scale = 1.0 + float(np.abs(hh).max())
-    resid = float(np.abs(hh @ v - v * w).max())
-    if resid > 1e-10 * scale:  # pragma: no cover - defensive
-        raise RuntimeError(f"eigendecomposition residual {resid:.3e} too large for scale {scale:.3e}")
-    return w, v
 
 
 def singular_values(x) -> np.ndarray:
@@ -195,21 +164,6 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return sv
 
 
-def psd_sqrt(h) -> np.ndarray:
-    """Square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues in [-clamp, 0) are truncated to zero; anything more negative
-    (relative to the spectral scale) is an error.
-    """
-    w, v = hermitian_eig(h)
-    scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    if w.min() < -_PSD_CLAMP * scale:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
-
-
 def modulus_squared(x, kind: str) -> np.ndarray:
     """X*X (kind "L"), XX* (kind "R"), or their average (kind "C")."""
     a = require_square(x)
@@ -225,26 +179,20 @@ def modulus_squared(x, kind: str) -> np.ndarray:
 
 
 def modulus(x, kind: str) -> np.ndarray:
-    """Left, right, or Cartesian modulus of a square matrix."""
-    return psd_sqrt(modulus_squared(x, kind))
-
-
-def cartesian_parts(x) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian A, B with X = A + iB."""
-    a = require_square(x)
-    re = 0.5 * (a + a.conj().T)
-    im = (a - a.conj().T) / 2j
-    return re, 0.5 * (im + im.conj().T)
+    """Left, right, or Cartesian modulus of a square matrix: the square root of
+    ``modulus_squared``, its eigenvalues clipped at 0.  ``OverflowError`` when
+    the square is past the largest float."""
+    m = modulus_squared(x, kind)
+    if not np.isfinite(m).all():
+        raise OverflowError(f"the squared {kind} modulus overflows")
+    w, v = np.linalg.eigh(m)
+    w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]  # descending: the product sums the largest terms first
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
 
 
 # ---------------------------------------------------------------------------
 # fixed matrices
-
-
-def identity(d: int) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    return np.eye(d, dtype=np.complex128)
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -314,23 +262,6 @@ def random_normal_matrix(d: int, seed) -> np.ndarray:
     u = random_unitary(d, g)
     z = (g.standard_normal(d) + 1j * g.standard_normal(d)) / np.sqrt(2.0)
     return (u * z) @ u.conj().T
-
-
-def random_density(d: int, rank: int, seed) -> np.ndarray:
-    """Normalized W W* with W a d x rank complex Gaussian matrix."""
-    if not (1 <= rank <= d):
-        raise ValueError(f"rank must be in [1, {d}], got {rank}")
-    g = _rng(seed)
-    w = (g.standard_normal((d, rank)) + 1j * g.standard_normal((d, rank))) / np.sqrt(2.0)
-    m = w @ w.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return m / float(np.trace(m).real)
-
-
-def random_unit_vector(d: int, seed) -> np.ndarray:
-    g = _rng(seed)
-    v = g.standard_normal(d) + 1j * g.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def random_point_set(n: int, seed) -> np.ndarray:

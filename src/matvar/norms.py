@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_vector, _scaled, _unscaled, f_matrix, require_square, singular_values
+from .linalg import _scaled, _unscaled, f_matrix, require_square, singular_values
 
-__all__ = ["NormSpec", "norm", "vector_norm", "f_ratio_bounds"]
+__all__ = ["NormSpec", "norm", "f_ratio_bounds"]
 
 
 def _as_p(value, name: str = "p") -> float:
@@ -145,11 +145,6 @@ def _evaluate(sv: np.ndarray, spec: NormSpec) -> float:
 def norm(x, spec: NormSpec) -> float:
     """Evaluate the norm selected by ``spec`` on a rectangular matrix."""
     return _evaluate(singular_values(x), spec)
-
-
-def vector_norm(v, spec: NormSpec) -> float:
-    """Norm of diag(v): the same symmetric gauge applied to |v| sorted."""
-    return _evaluate(np.sort(np.abs(_as_vector(v)))[::-1], spec)
 
 
 def f_ratio_bounds(x, spec: NormSpec) -> tuple[float, float, float]:

@@ -59,7 +59,6 @@ __all__ = [
     "Membership",
     "ConvergenceError",
     "quantum_variance",
-    "max_variance",
     "radius",
     "numerical_range",
     "numerical_radius",
@@ -293,16 +292,6 @@ def _witness(b: np.ndarray, msq: np.ndarray, y: complex,
             mu, z = shifted(delta)
     u = v @ best[1]
     return _variance(b, msq, u), u, best[2], best[3]
-
-
-def max_variance(x, kind: str) -> tuple[float, np.ndarray]:
-    """Largest quantum variance of X over states, with a pure witness.
-
-    Returns ``(primal_value, witness)`` of ``radius(x, kind)``: the value
-    equals r_kind(X)^2 to within the reported ``gap``.
-    """
-    res = radius(x, kind)
-    return res.primal_value, res.witness
 
 
 @dataclass(frozen=True)

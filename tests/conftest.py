@@ -1,4 +1,4 @@
-"""Shared test oracles."""
+"""Shared test oracles, and samplers that only the tests use."""
 
 from __future__ import annotations
 
@@ -37,6 +37,26 @@ def _hull_signed_distance(z, points) -> float:
     dist = min(_segment_distance(z, a, b) for a, b in edges)
     inside = len(hull) >= 3 and all(_cross(a, b, z) >= 0.0 for a, b in edges)
     return dist if inside else -dist
+
+
+def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized W W* with W a d x rank complex Gaussian matrix."""
+    w = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2.0)
+    m = w @ w.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return m / float(np.trace(m).real)
+
+
+def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def cartesian_parts(x) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian A, B with X = A + iB."""
+    a = np.asarray(x, dtype=np.complex128)
+    im = (a - a.conj().T) / 2j
+    return 0.5 * (a + a.conj().T), 0.5 * (im + im.conj().T)
 
 
 @pytest.fixture()

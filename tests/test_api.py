@@ -1,4 +1,9 @@
-"""The package's public API is the union of its layers' ``__all__`` lists."""
+"""The package's public API is the union of its layers' ``__all__`` lists,
+and README's library section uses only that API."""
+
+import ast
+import pathlib
+import re
 
 import matvar
 from matvar import commutators, geometry, linalg, norms, radii, suites
@@ -22,3 +27,28 @@ def test_star_import_binds_exactly_all():
     exec("from matvar import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(matvar.__all__)
+
+
+# The functions and classes README's "Library use" section presents as library API.
+README_API = {"is_hermitian", "as_density", "as_unit_vector", "radius", "numerical_radius",
+              "central_numerical_radius", "two_largest_radius", "enclosing_circle",
+              "max_variance_distribution", "numerical_range", "membership_in_range",
+              "hull_membership_margin", "quantum_variance", "evaluate_bounds", "f_ratio_bounds",
+              "ConvergenceError"}
+
+
+def test_readme_library_use_runs_on_the_public_api(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = {alias.name for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)
+                and node.module == "matvar" for alias in node.names}
+    assert imported and imported | README_API <= set(matvar.__all__)
+    for name in README_API:
+        assert f"`{name}`" in section, name
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("0.7071") and out[-1] == "1.0"  # r_C(E12) = 1/sqrt(2), as the block's comment says
+    # the private helpers the section names by module still exist
+    for layer, name in re.findall(r"`(\w+)\.(_\w+)`", section):
+        assert hasattr(getattr(matvar, layer), name), (layer, name)

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import random_density
 import matvar.cli
 from matvar.cli import (
     load_matrix,
@@ -19,7 +20,7 @@ from matvar.cli import (
     save_matrix,
 )
 from matvar.commutators import evaluate_bounds
-from matvar.linalg import ginibre, random_density, random_normal_matrix
+from matvar.linalg import ginibre, random_normal_matrix
 from matvar.norms import NormSpec, norm
 from matvar.radii import (
     ConvergenceError,

@@ -1,4 +1,4 @@
-"""Core linear algebra: eigen/singular decompositions, moduli, ensembles."""
+"""Core linear algebra: singular values, moduli, validators, ensembles."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matvar import linalg
+from conftest import cartesian_parts
+from matvar import geometry, linalg
 
 
 # ---------------------------------------------------------------------------
 # independent eigenvalue oracle: inertia counting by symmetric elimination
 # (Sylvester's law of inertia) plus bisection.  No call into numpy's
-# eigensolvers, so it cross-checks hermitian_eig from a different route.
+# eigensolvers, so it cross-checks modulus from a different route.
 
 
 def _count_below(hmat, x):
@@ -65,37 +66,12 @@ _EIGS_8_SEED7 = np.array([
 ])
 
 
-def test_hermitian_eig_matches_inertia_bisection_oracle():
+def test_modulus_matches_inertia_bisection_oracle():
+    # |H| of a Hermitian H has the moduli of H's eigenvalues for its own
     h = linalg.random_hermitian(8, 7)
-    w, _ = linalg.hermitian_eig(h)
-    assert_allclose(w, _EIGS_8_SEED7, atol=1e-8, rtol=0)
+    w = np.linalg.eigvalsh(linalg.modulus(h, "L"))
+    assert_allclose(np.sort(w), np.sort(np.abs(_EIGS_8_SEED7)), atol=1e-8, rtol=0)
     assert_allclose(_oracle_eigs(h), _EIGS_8_SEED7, atol=1e-9, rtol=0)
-
-
-def test_hermitian_eig_diagonal_and_pauli():
-    w, v = linalg.hermitian_eig(np.diag([3.0, -1.0, 2.0]))
-    assert_allclose(w, [3.0, 2.0, -1.0], atol=1e-14)
-    w, v = linalg.hermitian_eig(linalg.PAULI_X)
-    assert_allclose(w, [1.0, -1.0], atol=1e-14)
-    # columns are orthonormal eigenvectors
-    assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
-
-
-def test_hermitian_eig_reconstructs_many_random_samples():
-    for trial in range(1000):
-        rng = np.random.default_rng([101, trial])
-        d = int(rng.integers(1, 17))
-        h = linalg.random_hermitian(d, rng)
-        w, v = linalg.hermitian_eig(h)
-        scale = 1.0 + np.abs(h).max()
-        assert np.all(np.diff(w) <= 1e-14 * scale)
-        assert_allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-12 * scale)
-        assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_singular_values_examples():
@@ -117,7 +93,7 @@ def test_singular_values_match_gram_eigenvalues():
         d = int(rng.integers(1, 13))
         x = linalg.ginibre(d, rng)
         sv = linalg.singular_values(x)
-        w, _ = linalg.hermitian_eig(x.conj().T @ x)
+        w = np.linalg.eigvalsh(x.conj().T @ x)[::-1]
         assert_allclose(sv**2, np.clip(w, 0, None), atol=1e-10 * (1 + w.max()))
         u = linalg.random_unitary(d, rng)
         assert_allclose(linalg.singular_values(u @ x), sv, atol=1e-11 * (1 + sv[0]))
@@ -141,8 +117,8 @@ def test_modulus_properties():
         cart = linalg.modulus(x, "C")
         scale = 1.0 + np.abs(x).max() ** 2
         # left and right moduli share a spectrum
-        wl, _ = linalg.hermitian_eig(left)
-        wr, _ = linalg.hermitian_eig(right)
+        wl = np.linalg.eigvalsh(left)
+        wr = np.linalg.eigvalsh(right)
         assert_allclose(wl, wr, atol=1e-10 * scale)
         # Cartesian modulus squared averages the one-sided squares
         assert_allclose(cart @ cart, 0.5 * (left @ left + right @ right), atol=1e-10 * scale)
@@ -153,13 +129,35 @@ def test_modulus_properties():
         assert_allclose(linalg.modulus(z, "L"), linalg.modulus(z, "C"), atol=1e-9 * zs)
 
 
+def test_modulus_diagonal_and_pauli():
+    # a diagonal matrix's moduli are the moduli of its entries; a unitary's are I
+    for kind in linalg.MODULUS_KINDS:
+        assert_allclose(linalg.modulus(np.diag([3.0, -1.0, 2.0]), kind), np.diag([3.0, 1.0, 2.0]),
+                        atol=1e-14)
+        for pauli in (linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z):
+            assert_allclose(linalg.modulus(pauli, kind), np.eye(2), atol=1e-14)
+
+
+def test_modulus_reconstructs_many_random_samples():
+    for trial in range(1000):
+        rng = np.random.default_rng([101, trial])
+        d = int(rng.integers(1, 17))
+        x = linalg.ginibre(d, rng)
+        scale = 1.0 + np.abs(x).max() ** 2
+        for kind in linalg.MODULUS_KINDS:
+            m = linalg.modulus(x, kind)
+            assert np.array_equal(m, m.conj().T)
+            assert np.linalg.eigvalsh(m).min() >= -1e-12 * scale
+            assert_allclose(m @ m, linalg.modulus_squared(x, kind), atol=1e-10 * scale)
+
+
 def test_modulus_squared_cartesian_identity():
     # |X|_C^2 equals A^2 + B^2 for the Cartesian parts X = A + iB
     for trial in range(50):
         rng = np.random.default_rng([104, trial])
         d = int(rng.integers(1, 9))
         x = linalg.ginibre(d, rng)
-        a, b = linalg.cartesian_parts(x)
+        a, b = cartesian_parts(x)
         assert_allclose(linalg.modulus_squared(x, "C"), a @ a + b @ b,
                         atol=1e-12 * (1 + np.abs(x).max() ** 2))
 
@@ -169,25 +167,7 @@ def test_modulus_rejects_bad_kind():
         linalg.modulus(np.eye(2), "Q")
 
 
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        linalg.psd_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_cartesian_parts_roundtrip():
-    x = np.array([[1 + 2j, 3j], [0, -1j]])
-    a, b = linalg.cartesian_parts(x)
-    assert linalg.is_hermitian(a) and linalg.is_hermitian(b)
-    assert_allclose(a + 1j * b, x, atol=1e-14)
-    for trial in range(50):
-        rng = np.random.default_rng([105, trial])
-        y = linalg.ginibre(5, rng)
-        a, b = linalg.cartesian_parts(y)
-        assert_allclose(a + 1j * b, y, atol=1e-13)
-
-
 def test_fixed_matrices():
-    assert_allclose(linalg.identity(3), np.eye(3))
     e21 = linalg.basis_matrix(2, 1, 3)
     assert e21[1, 0] == 1.0 and np.abs(e21).sum() == 1.0
     assert_allclose(linalg.f_matrix(4), np.diag([1.0, 1.0, 0.0, 0.0]))
@@ -209,6 +189,8 @@ def test_validators():
         linalg.as_matrix([[np.inf, 0], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         linalg.require_square(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not Hermitian: deviation 1.000e\\+00 exceeds 1.0e-10"):
+        linalg.as_density([[0.5, 1.0], [0.0, 0.5]])
     with pytest.raises(ValueError, match="trace"):
         linalg.as_density(np.diag([0.7, 0.7]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -233,6 +215,23 @@ def test_unscaled_maps_back_scalars_and_arrays_alike():
         assert str(err.value) == f"the value, {unit!r} times 3.0, overflows"
 
 
+def test_overflow_message_reads_a_numpy_unit_as_a_plain_float():
+    # a NumPy scalar unit is written as the float it is, not as its repr
+    with pytest.raises(OverflowError) as err:
+        geometry.murthy_sethi_bound(np.float64(-1e200), np.float64(1e200))
+    assert str(err.value) == "the variance bound, 1e+200 times 1e+200, overflows"
+    with pytest.raises(OverflowError) as err:
+        linalg._unscaled(np.float64(3.0), np.float64(2.0**1023), "value")
+    assert "np.float64" not in str(err.value)
+
+
+def test_modulus_names_a_square_past_the_largest_float():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in linalg.MODULUS_KINDS:
+            with pytest.raises(OverflowError, match=f"^the squared {kind} modulus overflows$"):
+                linalg.modulus(np.diag([1e200, 1.0]), kind)
+
+
 def test_ensembles_deterministic_and_well_formed():
     assert_allclose(linalg.ginibre(4, 11), linalg.ginibre(4, 11))
     assert not np.allclose(linalg.ginibre(4, 11), linalg.ginibre(4, 12))
@@ -246,19 +245,5 @@ def test_ensembles_deterministic_and_well_formed():
     z = linalg.random_normal_matrix(5, 4)
     assert np.abs(z @ z.conj().T - z.conj().T @ z).max() <= 1e-12 * (1 + np.abs(z).max() ** 2)
 
-    rho = linalg.random_density(4, 1, 8)
-    w, _ = linalg.hermitian_eig(rho)
-    assert abs(np.trace(rho).real - 1.0) <= 1e-12
-    assert w[0] >= 1.0 - 1e-12 and abs(w[1]) <= 1e-12  # rank one
-
-    rho2 = linalg.random_density(4, 4, 8)
-    assert np.linalg.eigvalsh(rho2).min() >= -1e-13
-
-    v = linalg.random_unit_vector(7, 2)
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
     pts = linalg.random_point_set(9, 5)
     assert pts.shape == (9,) and np.iscomplexobj(pts)
-
-    with pytest.raises(ValueError, match="rank"):
-        linalg.random_density(3, 4, 0)

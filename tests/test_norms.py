@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import cartesian_parts
 from matvar import linalg
-from matvar.norms import NormSpec, f_ratio_bounds, norm, vector_norm
+from matvar.norms import NormSpec, f_ratio_bounds, norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -84,18 +85,23 @@ def test_parse_round_trip():
         NormSpec.parse("kyfan:zero")
 
 
-def test_vector_norm_matches_diagonal_embedding():
+def test_norm_of_diagonal_matches_sorted_moduli():
+    # the singular values of diag(v) are the moduli of v, so each norm is its gauge of |v|
     for trial in range(100):
         rng = np.random.default_rng([201, trial])
         d = int(rng.integers(1, 9))
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        for spec in (NormSpec.schatten(1), NormSpec.schatten(2.5),
-                     NormSpec.schatten(math.inf), NormSpec.kyfan(min(2, d)),
-                     NormSpec.weighted_gauge([1.0] * 8)):
-            assert_allclose(vector_norm(v, spec), norm(np.diag(v), spec),
-                            atol=1e-12 * (1 + np.abs(v).max()))
-    assert_allclose(vector_norm([3.0, -4.0], NormSpec.schatten(2)), 5.0, atol=1e-14)
-    assert_allclose(vector_norm([1.0, 1.0], NormSpec.schatten(1)), 2.0, atol=1e-14)
+        s = np.sort(np.abs(v))[::-1]
+        k = min(2, d)
+        alpha = np.linspace(1.0, 0.3, 8)
+        for spec, want in ((NormSpec.schatten(1), s.sum()),
+                           (NormSpec.schatten(2.5), (s**2.5).sum() ** (1 / 2.5)),
+                           (NormSpec.schatten(math.inf), s[0]),
+                           (NormSpec.kyfan(k), s[:k].sum()),
+                           (NormSpec.weighted_gauge(alpha), np.dot(alpha[:d], s))):
+            assert_allclose(norm(np.diag(v), spec), want, atol=1e-12 * (1 + s[0]))
+    assert_allclose(norm(np.diag([3.0, -4.0]), NormSpec.schatten(2)), 5.0, atol=1e-14)
+    assert_allclose(norm(np.diag([1.0, 1.0]), NormSpec.schatten(1)), 2.0, atol=1e-14)
 
 
 def test_unitary_invariance():
@@ -206,7 +212,7 @@ def test_cartesian_parts_norm_bounds():
         rng = np.random.default_rng([207, trial])
         d = int(rng.integers(2, 9))
         x = linalg.ginibre(d, rng)
-        a, b = linalg.cartesian_parts(x)
+        a, b = cartesian_parts(x)
         fro2 = norm(x, NormSpec.schatten(2)) ** 2
         assert_allclose(norm(a, NormSpec.schatten(2)) ** 2 + norm(b, NormSpec.schatten(2)) ** 2,
                         fro2, atol=1e-10 * (1 + fro2))

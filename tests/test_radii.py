@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import cartesian_parts, random_density, random_unit_vector
 from matvar import geometry, linalg, radii
 from matvar.geometry import enclosing_circle
 from matvar.norms import NormSpec, norm
@@ -81,8 +82,8 @@ def test_second_moment_translation_identity():
         rng = np.random.default_rng([402, trial])
         d = int(rng.integers(2, 9))
         x = linalg.ginibre(d, rng)
-        rho = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
-        sigma = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        sigma = random_density(d, int(rng.integers(1, d + 1)), rng)
         e_rho = complex(np.trace(rho @ x))
         e_sig = complex(np.trace(sigma @ x))
         for kind in "LRC":
@@ -93,13 +94,12 @@ def test_second_moment_translation_identity():
 
 
 def test_max_variance_examples():
-    val, psi = radii.max_variance(linalg.PAULI_Z, "C")
-    assert_allclose(val, 1.0, atol=1e-9)
-    assert abs(np.vdot(psi, linalg.PAULI_Z @ psi)) <= 1e-6
-    val, _ = radii.max_variance(E12, "C")
-    assert_allclose(val, 0.5, atol=1e-9)
-    val, psi = radii.max_variance(1.5 * np.eye(3), "L")
-    assert val == 0.0 and abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    res = radii.radius(linalg.PAULI_Z, "C")
+    assert_allclose(res.primal_value, 1.0, atol=1e-9)
+    assert abs(np.vdot(res.witness, linalg.PAULI_Z @ res.witness)) <= 1e-6
+    assert_allclose(radii.radius(E12, "C").primal_value, 0.5, atol=1e-9)
+    res = radii.radius(1.5 * np.eye(3), "L")
+    assert res.primal_value == 0.0 and abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
 
 
 def test_max_variance_is_bounded_by_squared_radius():
@@ -305,8 +305,8 @@ def test_polygon_hit_on_two_and_three_vectors_inside_and_outside():
 def test_segment_hit_with_nearly_parallel_ends():
     rng = np.random.default_rng(418)
     b = linalg.ginibre(3, rng)
-    xa = linalg.random_unit_vector(3, rng)
-    w = linalg.random_unit_vector(3, rng)
+    xa = random_unit_vector(3, rng)
+    w = random_unit_vector(3, rng)
     for psi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
         xb = np.exp(1j * psi) * xa + 1e-8 * w
         xb /= np.linalg.norm(xb)
@@ -500,8 +500,8 @@ def test_square_root_trace_concavity():
         rng = np.random.default_rng([411, trial])
         d = int(rng.integers(2, 8))
         x = linalg.ginibre(d, rng)
-        a, b = linalg.cartesian_parts(x)
-        rho = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
+        a, b = cartesian_parts(x)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         lhs = math.hypot(float(np.trace(rho @ a).real), float(np.trace(rho @ b).real))
         rhs = float(np.trace(rho @ linalg.modulus(x, "C")).real)
         assert lhs <= rhs + 1e-10 * (1 + rhs)
@@ -698,6 +698,7 @@ def _count_eigh(monkeypatch, solve, x) -> int:
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     solve(x)
+    assert calls, "no eigensolve was counted: a budget read at 0 checks nothing"
     return len(calls)
 
 
@@ -879,7 +880,7 @@ def test_radius_on_structured_inputs():
     for d in (2, 5, 12):
         rng = np.random.default_rng([424, d])
         jordan = np.eye(d, k=1, dtype=np.complex128)
-        rank_one = np.outer(linalg.random_unit_vector(d, rng), linalg.random_unit_vector(d, rng).conj())
+        rank_one = np.outer(random_unit_vector(d, rng), random_unit_vector(d, rng).conj())
         for x in (linalg.random_hermitian(d, rng), linalg.random_unitary(d, rng), rank_one,
                   jordan, jordan + np.diag(np.arange(d))):
             for kind in "LRC":
@@ -898,7 +899,7 @@ def _stress_set():
         normal = linalg.random_normal_matrix(d, rng)
         yield from (linalg.ginibre(d, rng), normal, linalg.random_hermitian(d, rng),
                     linalg.random_unitary(d, rng),
-                    np.outer(linalg.random_unit_vector(d, rng), linalg.random_unit_vector(d, rng).conj()),
+                    np.outer(random_unit_vector(d, rng), random_unit_vector(d, rng).conj()),
                     jordan, jordan + np.diag(np.arange(d)), normal + 1e-8 * linalg.ginibre(d, rng),
                     np.kron(np.eye(2), linalg.ginibre(max(d // 2, 2), rng)))
 
