@@ -192,7 +192,8 @@ def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, fl
     for points b_i with weights c_i >= 0, and the indices of the at most
     three points that fix it; its center lies in their convex hull.  The
     exchange runs on the points as ``_centre`` scales them, and the weights
-    in the same unit, with an argmax over the set as its farthest point."""
+    in the same unit, with an argmax over the set as its farthest point.
+    ``OverflowError`` when the radius exceeds the largest float."""
     centroid, unit, spread, rel = _centre(points, math.sqrt(float(weights.max())))
     if spread == 0.0:
         return complex(points[0]), 0.0, [0]
@@ -205,15 +206,19 @@ def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, fl
 
     # the radius grows every round; 11 rounds at most on 4,000 seeded sets
     d = _exchange(farthest, 0j, 0.0, 2 * points.size + 2)[2]
-    # report the exact radius at the computed center
+    # report the exact radius at the computed center; a distance past the largest float is named, not warned of
     center = centroid + spread * d.center * unit
-    return center, float(np.hypot(np.abs(points - center), np.sqrt(weights)).max()), [p[2] for p in d.support]
+    with np.errstate(over="ignore"):
+        radius = float(np.hypot(np.abs(points - center), np.sqrt(weights)).max())
+    if math.isinf(radius):
+        raise OverflowError(f"the radius, {unit!r} times {spread * d.radius!r}, overflows")
+    return center, radius, [p[2] for p in d.support]
 
 
 def enclosing_circle(points) -> Circle:
     """Smallest circle containing all points: the weighted disc of
     ``_smallest_disc`` with every weight 0 (unique, deterministic and
-    scale-covariant)."""
+    scale-covariant); ``OverflowError`` if its radius exceeds the largest float."""
     pts = _as_vector(points)
     return Circle(*_smallest_disc(pts, np.zeros(pts.size))[:2])
 
@@ -228,8 +233,8 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
     The maximum equals the squared radius of the smallest enclosing circle.
     It is attained by the barycentric coordinates of the circle's center in
     the at most three points that fix the circle: a distribution on them
-    whose mean is the center.  Raises ``OverflowError`` when that square
-    exceeds the largest float.
+    whose mean is the center.  Raises ``OverflowError`` when the radius, or
+    its square, exceeds the largest float.
     """
     pts = _as_vector(points)
     center, radius, idx = _smallest_disc(pts, np.zeros(pts.size))
@@ -263,7 +268,8 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
     from, and f(c) - sqrt(g^T P g) bounds min f from below.  It stops once the
     best value is within 1e-14 of that bound, relatively, or once g^T P g = 0
     (the ellipsoid has collapsed onto a minimiser): at most 250 steps on up to
-    12 points.  Raises ``ConvergenceError`` after 1,000 steps.
+    12 points.  Raises ``ConvergenceError`` after 1,000 steps, and
+    ``OverflowError`` if the minimum exceeds the largest float.
     """
     pts = _as_vector(points)
     if pts.size < 2:
@@ -297,7 +303,7 @@ def two_largest_radius(points, p: float) -> tuple[complex, float]:
         gpg = g.real * px + g.imag * py
         lower = max(lower, f - math.sqrt(max(gpg, 0.0)))
         if best - lower <= 1e-14 * best or gpg <= 0.0:
-            return centroid + spread * best_u * unit, spread * best * unit
+            return centroid + spread * best_u * unit, _unscaled(spread * best, unit, "radius")
         px, py = px / math.sqrt(gpg), py / math.sqrt(gpg)
         c -= complex(px, py) / 3.0
         p11, p12, p22 = (4.0 / 3.0 * (p11 - 2.0 / 3.0 * px * px),

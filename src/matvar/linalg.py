@@ -165,26 +165,28 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def modulus_squared(x, kind: str) -> np.ndarray:
-    """X*X (kind "L"), XX* (kind "R"), or their average (kind "C")."""
+    """X*X (kind "L"), XX* (kind "R"), or their average (kind "C");
+    ``OverflowError`` when an entry is past the largest float."""
     a = require_square(x)
-    if kind == "L":
-        m = a.conj().T @ a
-    elif kind == "R":
-        m = a @ a.conj().T
-    elif kind == "C":
-        m = 0.5 * (a.conj().T @ a + a @ a.conj().T)
-    else:
-        raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    return 0.5 * (m + m.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
+        if kind == "L":
+            m = a.conj().T @ a
+        elif kind == "R":
+            m = a @ a.conj().T
+        elif kind == "C":
+            m = 0.5 * (a.conj().T @ a + a @ a.conj().T)
+        else:
+            raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
+        m = 0.5 * (m + m.conj().T)
+    if not np.isfinite(m).all():
+        raise OverflowError(f"the squared {kind} modulus overflows")
+    return m
 
 
 def modulus(x, kind: str) -> np.ndarray:
     """Left, right, or Cartesian modulus of a square matrix: the square root of
-    ``modulus_squared``, its eigenvalues clipped at 0.  ``OverflowError`` when
-    the square is past the largest float."""
+    ``modulus_squared``, its eigenvalues clipped at 0."""
     m = modulus_squared(x, kind)
-    if not np.isfinite(m).all():
-        raise OverflowError(f"the squared {kind} modulus overflows")
     w, v = np.linalg.eigh(m)
     w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]  # descending: the product sums the largest terms first
     root = (v * np.sqrt(w)) @ v.conj().T

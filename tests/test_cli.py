@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from matvar.radii import (
     quantum_variance,
     radius,
 )
+from matvar.suites import run_suite
 
 
 @pytest.fixture()
@@ -322,6 +324,12 @@ def test_verify_cli(tmp_path, capsys):
         assert check["pass"] + check["fail"] == 5
         assert check["fail"] == 0
     assert isinstance(obj["elapsed_ms"], int)
+    # the library rejects what the flags' choices and types let through
+    for suite, trials, dim_max, message in (("unknown", 1, 2, "unknown suite 'unknown'"),
+                                            ("norms", 0, 2, "trials must be >= 1"),
+                                            ("norms", 1, 1, "dim-max must be >= 2")):
+        with pytest.raises(ValueError, match=message):
+            run_suite(suite, trials=trials, dim_max=dim_max, seed=0)
 
 
 def test_verify_deterministic_json(capsys):
@@ -367,19 +375,32 @@ def test_search_cli(tmp_path, capsys):
     assert capsys.readouterr().out == first  # byte-identical repeat run
 
 
-def test_search_text_output(capsys):
-    assert main(["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2",
-                 "--trials", "8", "--seed", "7"]) == 0
+def test_search_text_output(capsys, monkeypatch):
+    argv = ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2", "--trials", "8", "--seed", "7"]
+    assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "best_ratio: 1.41421356237  (from family:pauli_pair)",
         "conjectured: 1.41421356237  gap: 0",
+    ]
+    # a search that skipped trials and beat the conjectured constant says both
+    real = matvar.cli.search_constant
+    monkeypatch.setattr(matvar.cli, "search_constant", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), best_ratio=1.5, skipped=3, falsification=True))
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "best_ratio: 1.5  (from family:pauli_pair)",
+        "conjectured: 1.41421356237  gap: -0.0857864",
+        "FALSIFICATION CANDIDATE: ratio exceeds the conjectured constant by more than 1e-6; "
+        "inspect the witness pair.",
+        "skipped: 3 trials with denominator below 1e-14",
     ]
 
 
 @pytest.mark.parametrize("args", [
     ["--p", "2", "--q", "2", "--r", "2", "--trials", "0"],
     ["--p", "1", "--q", "4", "--r", "4"],
-], ids=["no-trials", "exponents"])
+    ["--p", "2", "--q", "2", "--r", "2", "--dims", "1,2"],
+], ids=["no-trials", "exponents", "dims-below-two"])
 def test_rejected_search_leaves_no_witness_directory(tmp_path, capsys, args):
     # the arguments are checked before the witness directory is made
     out = tmp_path / "newdir"
@@ -426,18 +447,22 @@ def test_cli_flag_errors(fixtures, capsys):
 @pytest.mark.parametrize("args", [
     ["compute", "numrange", "--input", "{f2}", "--z", "1"],
     ["compute", "numrange", "--input", "{f2}", "--z", "a,b"],
-    ["compute", "numrange", "--input", "{f2}", "--z=nan,0"],
-    ["compute", "numrange", "--input", "{f2}", "--z=inf,0"],
-    ["compute", "numrange", "--input", "{f2}", "--z=0,-inf"],
     ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2,x"],
     ["search", "--p", "2", "--q", "2", "--r", "2", "--dims", "2.5"],
-], ids=["z-one-part", "z-not-numeric", "z-nan", "z-inf", "z-minus-inf-imaginary", "dims-not-integer",
-        "dims-fraction"])
+], ids=["z-one-part", "z-not-numeric", "dims-not-integer", "dims-fraction"])
 def test_flag_values_that_do_not_parse_exit_with_code_two(fixtures, capsys, args):
     with pytest.raises(SystemExit) as exc:
         main([a.format(f2=fixtures / "f2.json") for a in args])
     assert exc.value.code == 2
     assert "expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z, shown", [("nan,0", "(nan+0j)"), ("inf,0", "(inf+0j)"), ("0,-inf", "-infj")],
+                         ids=["z-nan", "z-inf", "z-minus-inf-imaginary"])
+def test_a_membership_point_that_is_not_finite_exits_with_code_two(fixtures, capsys, z, shown):
+    # the flag parses; membership_in_range rejects the point, with one error line
+    assert main(["compute", "numrange", "--input", str(fixtures / "f2.json"), f"--z={z}"]) == 2
+    assert capsys.readouterr() == ("", f"error: z must be finite, got {shown}\n")
 
 
 def test_compute_near_the_largest_float(tmp_path, capsys):
@@ -448,9 +473,12 @@ def test_compute_near_the_largest_float(tmp_path, capsys):
     for quantity in ("radius", "wradius"):
         assert main(["compute", quantity, "--input", str(path)]) == 0
         assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(t, rel=1e-11)
-    save_matrix(path, np.diag([t, -t]))
-    assert main(["compute", "numrange", "--input", str(path), "--z", "0,0"]) == 0
-    assert capsys.readouterr().out.startswith("inside")
+    assert main(["compute", "radius", "--json", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(t, rel=1e-11)
+    for x in (np.diag([t, -t, -t]), np.diag([t, -t])):
+        save_matrix(path, x)
+        assert main(["compute", "numrange", "--input", str(path), "--z", "0,0"]) == 0
+        assert capsys.readouterr().out.startswith("inside")
     # ... and results beyond it are rejected with one line and exit code 2
     save_matrix(path, np.full((3, 3), t))
     for quantity in ("radius", "wradius"):
@@ -476,6 +504,14 @@ def test_compute_near_the_largest_float(tmp_path, capsys):
     assert main(["compute", "variance", "--kind", "C", "--input", str(path), "--rho", str(rho)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the variance") and err.endswith(" overflows\n")
+    assert err.count("\n") == 1
+    # the commutator of a nilpotent X near the largest float with an ordinary Y overflows
+    save_matrix(path, [[0.0, t], [0.0, 0.0]])
+    save_matrix(rho, [[1, 2], [3, 4j]])
+    assert main(["compute", "commutator-bounds", "--x", str(path), "--y", str(rho),
+                 "--p", "2", "--q", "2", "--r", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and err.endswith(" overflows\n")
     assert err.count("\n") == 1
 
 

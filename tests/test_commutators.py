@@ -385,6 +385,8 @@ def test_trial_ratio_is_the_validated_ratio_bit_for_bit():
             assert commutators._trial_ratio(a, b, *specs) == ratio
             swapped |= ratio != comm / (norm(a, specs[2]) * norm(b, specs[1]))
     assert swapped
+    # a denominator below 1e-14 gives no ratio: the search counts the trial as skipped
+    assert commutators._trial_ratio(np.zeros((2, 2), dtype=np.complex128), b, *specs) is None
 
 
 def test_unvalidated_singular_values_keep_the_rescale():

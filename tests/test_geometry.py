@@ -397,6 +397,20 @@ def test_spans_near_the_largest_float():
             assert abs(two_largest_radius(pts, p)[1] - radius) <= 1e-12 * radius
 
 
+def test_radius_past_the_largest_float_raises_overflow_error(capfd):
+    # finite points whose enclosing radius, about 2.1e308, is past the largest
+    # float: one named error from each call, no RuntimeWarning, and nothing
+    # that LAPACK prints on an infinite input
+    big = 1.7e308
+    pts = np.array([big, complex(-big, big), complex(-big, -big)])
+    calls = (lambda: enclosing_circle(pts), lambda: max_variance_distribution(pts),
+             lambda: two_largest_radius(pts, 2.0), lambda: two_largest_radius(pts, math.inf))
+    for call in calls:
+        with pytest.raises(OverflowError, match="^the radius, .* overflows$"):
+            call()
+    assert capfd.readouterr() == ("", "")
+
+
 def test_enclosing_circle_of_large_sets():
     # Gaussian sets, points on one circle, and the quarter-step lattice,
     # whose four corners are cocircular
@@ -427,6 +441,8 @@ def test_two_largest_radius_examples():
         two_largest_radius([0.0, 1.0], 0.5)
     with pytest.raises(ValueError, match="two"):
         two_largest_radius([1.0], 2.0)
+    # coincident points: the radius is 0 at the point itself
+    assert two_largest_radius([1 - 2j, 1 - 2j], 2.0) == (1 - 2j, 0.0)
 
 
 def test_two_largest_radius_equals_enclosing_radius():

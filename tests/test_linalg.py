@@ -177,6 +177,8 @@ def test_fixed_matrices():
         linalg.basis_matrix(0, 1, 2)
     with pytest.raises(ValueError):
         linalg.basis_matrix(1, 3, 2)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        linalg.basis_matrix(1, 1, 0)
     assert_allclose(linalg.PAULI_X, [[0, 1], [1, 0]])
     assert_allclose(linalg.PAULI_Y, [[0, 1j], [-1j, 0]])
     assert_allclose(linalg.PAULI_Z, [[1, 0], [0, -1]])
@@ -197,6 +199,9 @@ def test_validators():
         linalg.as_density(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="norm"):
         linalg.as_unit_vector([1.0, 1.0])
+    for v in ([], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite nonempty vector"):
+            linalg.as_unit_vector(v)
     v = linalg.as_unit_vector([1.0, 0.0])
     assert v.shape == (2,)
 
@@ -226,10 +231,11 @@ def test_overflow_message_reads_a_numpy_unit_as_a_plain_float():
 
 
 def test_modulus_names_a_square_past_the_largest_float():
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kind in linalg.MODULUS_KINDS:
+    # the square is checked once, where it is formed, with no RuntimeWarning
+    for kind in linalg.MODULUS_KINDS:
+        for square in (linalg.modulus_squared, linalg.modulus):
             with pytest.raises(OverflowError, match=f"^the squared {kind} modulus overflows$"):
-                linalg.modulus(np.diag([1e200, 1.0]), kind)
+                square(np.diag([1e200, 1.0]), kind)
 
 
 def test_ensembles_deterministic_and_well_formed():
@@ -247,3 +253,5 @@ def test_ensembles_deterministic_and_well_formed():
 
     pts = linalg.random_point_set(9, 5)
     assert pts.shape == (9,) and np.iscomplexobj(pts)
+    with pytest.raises(ValueError, match="at least one point"):
+        linalg.random_point_set(0, 5)

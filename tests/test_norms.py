@@ -69,6 +69,8 @@ def test_spec_validation():
         NormSpec.weighted_gauge([0.0, 0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         NormSpec.weighted_gauge([1.0, -0.1])
+    with pytest.raises(ValueError, match="nonempty weight vector"):
+        NormSpec.weighted_gauge(())
     with pytest.raises(ValueError, match="family"):
         NormSpec("operator")
 
@@ -162,6 +164,8 @@ def test_f_ratio_sandwich_on_fixed_cases():
     lower, ratio, upper = f_ratio_bounds(e12, NormSpec.schatten(1))
     assert_allclose(ratio, 0.5, atol=1e-14)
     assert_allclose(lower, 0.5, atol=1e-14)
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        f_ratio_bounds(np.eye(1), NormSpec.schatten(1))
 
 
 def test_f_ratio_sandwich_random():

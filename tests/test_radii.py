@@ -829,14 +829,15 @@ def test_radius_eigensolve_budget_on_near_jordan_inputs(monkeypatch):
     # 360 calls, against 9.40, 7 and 55 when Newton from the trace center
     # had a gate of its own and a failed try restarted the exchange there,
     # and 14.64 mean when a step that did not shrink ended the try
-    counts = []
+    counts, results = [], []
     for d in range(2, 10):
         for eps in (1e-4, 1e-6, 1e-8):
             for seed in range(5):
                 x = np.eye(d, k=1) + eps * linalg.ginibre(d, np.random.default_rng([460, d, seed]))
                 for kind in "LRC":
                     with monkeypatch.context() as m:
-                        counts.append(_count_eigh(m, lambda a: radii.radius(a, kind), x))
+                        counts.append(_count_eigh(m, lambda a: results.append(radii.radius(a, kind)), x))
+                    assert results[-1].gap <= 1e-13 * results[-1].value ** 2, (d, eps, seed, kind)
     print(f"near-Jordan radius: {len(counts)} calls, mean {np.mean(counts):.2f} eigh, max {max(counts)}")
     assert np.mean(counts) <= 9
 
@@ -1000,8 +1001,12 @@ def test_radius_tries_newton_first_only_at_a_simple_top_off_an_eigenvector(monke
             x = make(d, np.random.default_rng([441, seed]))
             for kind in "LRC":
                 calls.clear()
-                radii.radius(x, kind)
+                res = radii.radius(x, kind)
                 assert (calls[:1] == ["_witness"]) == newton, (make, seed, kind)
+                assert res.gap <= 1e-13 * res.value * res.value, (make, seed, kind)
+                if make is linalg.random_normal_matrix:  # r(X) of every kind is the eigenvalues' circle
+                    circle = enclosing_circle(np.linalg.eigvals(x)).radius
+                    assert abs(res.value - circle) <= 1e-12 * circle, (seed, kind)
 
 
 def test_radius_tries_the_kink_witness_only_at_a_nearly_multiple_top(monkeypatch):
