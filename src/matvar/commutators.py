@@ -72,9 +72,13 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def commutator(x, y) -> np.ndarray:
-    """XY - YX."""
+    """XY - YX; ``OverflowError`` when an entry is past the largest float."""
     a, b = _pair(x, y)
-    return a @ b - b @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
+        c = a @ b - b @ a
+    if not np.isfinite(c).all():
+        raise OverflowError("the commutator overflows")
+    return c
 
 
 def _unscaled_pair(v: float, ux: float, uy: float, name: str) -> float:
@@ -296,7 +300,7 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         u = rng.random()
-        if u < 0.7 or best_x is None:
+        if u < 0.7:
             d = int(dims[rng.integers(len(dims))])
             a, b = ginibre(d, rng), ginibre(d, rng)
         elif u < 0.9:

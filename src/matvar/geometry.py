@@ -79,8 +79,6 @@ def murthy_sethi_bound(lo: float, hi: float) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"need finite bounds with lo <= hi, got ({lo!r}, {hi!r})")
     half = 0.5 * hi - 0.5 * lo  # finite, where hi - lo may not be
-    if half < 2.0**511:  # (hi - lo)^2 is below the largest float
-        return 0.25 * (hi - lo) ** 2
     return _unscaled(half, half, "variance bound")
 
 
@@ -160,28 +158,26 @@ def _exchange(farthest, y: complex, rtol: float, cap: int) -> tuple[complex, flo
     """Farthest-point exchange (Elzinga and Hearn, Transportation Science 6,
     1972) for min_y f(y), f the largest power over a set of weighted points.
 
-    ``farthest(y)`` returns f(y), or an estimate, and points of the set, the
-    farthest first.  Each point outside the disc grows it by Welzl's step
+    ``farthest(y)`` returns f(y), or an estimate, and the point of the set
+    farthest from y.  A point outside the disc grows it by Welzl's step
     (LNCS 555, 1991), and only the at most three points that fix the new disc
     are kept: the disc of a subset still bounds min f from below, and its
     center is the next y.  So each Welzl step sees at most four points, and
     its two-point step picks among at most three discs: the pair's and two
-    radical ones.  Stops once no point grew the disc or the best value is
+    radical ones.  Stops once the point lies in the disc or the best value is
     within ``rtol`` of its radius, relatively.  Returns the best y, its
     value, the disc and whether it stopped in time.
     """
     disc = None
     best_y, best = y, math.inf
     for _ in range(cap):
-        value, points = farthest(y)
+        value, p = farthest(y)
         if value < best:
             best_y, best = y, value
-        grew = False
-        for p in points:
-            if disc is None or not _inside(p, disc):
-                disc = _circle_one_fixed(list(disc.support) if disc else [], p)
-                grew = True
-        if not grew or best - disc.radius <= rtol * best:
+        if disc is not None and _inside(p, disc):
+            return best_y, best, disc, True
+        disc = _circle_one_fixed(list(disc.support) if disc else [], p)
+        if best - disc.radius <= rtol * best:
             return best_y, best, disc, True
         y = disc.center
     return best_y, best, disc, False
@@ -199,10 +195,10 @@ def _smallest_disc(points: np.ndarray, weights: np.ndarray) -> tuple[complex, fl
         return complex(points[0]), 0.0, [0]
     c = weights / unit / unit / spread / spread
 
-    def farthest(y: complex) -> tuple[float, list]:
+    def farthest(y: complex) -> tuple[float, tuple]:
         power = np.abs(rel - y) ** 2 + c
         i = int(np.argmax(power))
-        return math.sqrt(power[i]), [(complex(rel[i]), float(c[i]), i)]
+        return math.sqrt(power[i]), (complex(rel[i]), float(c[i]), i)
 
     # the radius grows every round; 11 rounds at most on 4,000 seeded sets
     d = _exchange(farthest, 0j, 0.0, 2 * points.size + 2)[2]
@@ -243,10 +239,7 @@ def max_variance_distribution(points) -> tuple[np.ndarray, float]:
                            np.array([0.0, 0.0, 1.0]), rcond=None)[0].clip(0.0, None)
     probs = np.zeros(pts.size)
     probs[idx] = lams / lams.sum()
-    square = radius * radius
-    if math.isinf(square):
-        raise OverflowError(f"the largest variance, the square of the radius {radius!r}, overflows")
-    return probs, square
+    return probs, _unscaled(radius, radius, "largest variance")
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,7 @@ def require_square(x) -> np.ndarray:
 
 def is_hermitian(x) -> bool:
     a = require_square(x)
-    scale = 1.0 + float(np.abs(a).max())
-    return float(np.abs(a - a.conj().T).max()) <= _HERM_TOL * scale
+    return float(np.abs(a - a.conj().T).max()) <= _HERM_TOL * float(np.abs(a).max())
 
 
 def as_density(x) -> np.ndarray:
@@ -185,12 +184,13 @@ def modulus_squared(x, kind: str) -> np.ndarray:
 
 def modulus(x, kind: str) -> np.ndarray:
     """Left, right, or Cartesian modulus of a square matrix: the square root of
-    ``modulus_squared``, its eigenvalues clipped at 0."""
-    m = modulus_squared(x, kind)
-    w, v = np.linalg.eigh(m)
+    ``modulus_squared``, its eigenvalues clipped at 0, taken at unit scale;
+    ``OverflowError`` when an entry of the modulus is past the largest float."""
+    unit, c = _scaled(require_square(x))  # the square neither under- nor overflows; the root maps back by unit
+    w, v = np.linalg.eigh(modulus_squared(c, kind))
     w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]  # descending: the product sums the largest terms first
     root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    return _unscaled(0.5 * (root + root.conj().T), unit, f"{kind} modulus")
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ eigenvector is no eigenvector of X.
 boundary points (by Newton's method when three fix it), and adds the
 points a failed certificate finds.  ``membership_in_range``'s margin has the
 sign of z's signed distance to the boundary of W(X) and at most its size.
-Every result is deterministic: nothing draws random numbers, and the
-``restarts`` and ``seed`` arguments of ``radius`` are accepted and ignored.
+Every result is deterministic: nothing draws random numbers.
 """
 
 from __future__ import annotations
@@ -309,7 +308,7 @@ class RadiusResult:
         return abs(square - self.primal_value) if math.isfinite(square) else math.inf
 
 
-def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
+def radius(x, kind: str) -> RadiusResult:
     """r_kind(X): minimize the spectral norm of the shifted modulus over
     centers, certified by a pure-state variance witness.
 
@@ -340,8 +339,7 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
         value sqrt(lam_max) at its best center if that is lower.
 
     ``primal_value`` and ``gap`` are inf above a radius of about 1.3e154,
-    where the square overflows.  Deterministic: ``restarts`` and ``seed``
-    are accepted and ignored.  Raises ``ConvergenceError`` if an exchange
+    where the square overflows.  Raises ``ConvergenceError`` if an exchange
     hits its 500-round cap, ``OverflowError`` if the radius or center overflows.
     """
     a = require_square(x)
@@ -354,14 +352,14 @@ def radius(x, kind: str, restarts: int = 8, seed: int = 0) -> RadiusResult:
     shifted = _shifted_eigh(b, msq)
     eigs = {}  # the eigenpairs of |B - y|^2 at the trace center and every center the exchange tried
 
-    def farthest(y: complex) -> tuple[float, list]:
+    def farthest(y: complex) -> tuple[float, tuple]:
         if y not in eigs:  # the exchange starts where the last pass ended
             eigs[y] = shifted(y)
         w, v = eigs[y]
         top = v[:, -1]
         mean = complex(np.vdot(top, b @ top))
         var = max(float(np.vdot(top, msq @ top).real) - abs(mean) ** 2, 0.0)
-        return math.sqrt(max(float(w[-1]), 0.0)), [(mean, var, top)]
+        return math.sqrt(max(float(w[-1]), 0.0)), (mean, var, top)
 
     def closed(value: float, primal: float) -> bool:  # never on an inf or nan: inf <= inf holds
         finite = math.isfinite(value) and math.isfinite(primal)

@@ -249,7 +249,7 @@ def _check_kyfan2_claim_scan(rng, dim_max, trial):
     # The claim is false in dimension >= 3, so this check never fails; a
     # found counterexample is the expected outcome and becomes the recorded
     # witness (worst_slack = -excess of the strongest counterexample).
-    d = _dim(rng, max(dim_max, 3), 3)
+    d = _dim(rng, dim_max, 3)
     x = ginibre(d, rng)
     r_c = radius(x, "C").value
     excess = r_c - 0.5 * norm(x, NormSpec.kyfanpk(2, 2))

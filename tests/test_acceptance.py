@@ -91,8 +91,7 @@ def test_criterion_04_variance_radius_duality():
         for trial in range(200):
             rng = np.random.default_rng([903, trial])
             d = int(rng.integers(2, 9))
-            res = radius(ginibre(d, rng), kind, restarts=8,
-                         seed=int(rng.integers(2 ** 32)))
+            res = radius(ginibre(d, rng), kind)
             worst = max(worst, res.gap / (1.0 + res.value ** 2))
     _report(4, "max-variance equals squared radius", worst <= 1e-5,
             f"worst relative duality gap {worst:.2e} over 600 computations")
@@ -105,10 +104,9 @@ def test_criterion_05_radius_ordering():
         rng = np.random.default_rng([904, trial])
         d = int(rng.integers(2, 9))
         x = ginibre(d, rng)
-        seed = int(rng.integers(2 ** 32))
-        r_l = radius(x, "L", restarts=1, seed=seed).value
-        r_r = radius(x, "R", restarts=1, seed=seed + 1).value
-        r_c = radius(x, "C", restarts=1, seed=seed + 2).value
+        r_l = radius(x, "L").value
+        r_r = radius(x, "R").value
+        r_c = radius(x, "C").value
         worst_lr = max(worst_lr, abs(r_l - r_r))
         worst_cl = max(worst_cl, r_c - r_l)
     ok = worst_lr <= 1e-8 and worst_cl <= 1e-8
@@ -124,7 +122,8 @@ def test_criterion_06_normal_reduction():
         d = int(rng.integers(2, 8))
         x = random_normal_matrix(d, rng)
         r_spec = enclosing_circle(np.linalg.eigvals(x)).radius
-        res = radius(x, "C", restarts=2, seed=int(rng.integers(2 ** 32)))
+        rng.integers(2 ** 32)  # unused, but the draws below follow it in the trial's stream
+        res = radius(x, "C")
         worst_match = max(worst_match, abs(res.value - r_spec))
         for _ in range(2):
             evals = rng.uniform(0.0, 1.0, d)
@@ -185,9 +184,8 @@ def test_criterion_09_central_radius_norm_bounds():
         rng = np.random.default_rng([908, trial])
         d = int(rng.integers(2, 9))
         x = ginibre(d, rng)
-        seed = int(rng.integers(2 ** 32))
-        r_c = radius(x, "C", restarts=1, seed=seed).value
-        r_l = radius(x, "L", restarts=1, seed=seed + 1).value
+        r_c = radius(x, "C").value
+        r_l = radius(x, "L").value
         worst = min(worst, 2.0 ** -0.5 * norm(x, NormSpec.kyfanpk(2, 2)) - r_c)
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             worst = min(worst, norm(x, NormSpec.schatten(p)) - r_l)
@@ -213,7 +211,7 @@ def test_criterion_10_numerical_range_results():
         x = ginibre(d, rng)
         w = numerical_radius(x)
         worst_w = min(worst_w, norm(modulus(x, "C"), NormSpec.schatten(math.inf)) - w)
-        res = radius(x, "C", restarts=2, seed=int(rng.integers(2 ** 32)))
+        res = radius(x, "C")
         _, r_w = central_numerical_radius(x)
         worst_rw = min(worst_rw, res.value - r_w)
         worst_margin = min(worst_margin, membership_in_range(x, res.y_star).margin)

@@ -52,3 +52,13 @@ def test_readme_library_use_runs_on_the_public_api(capsys):
     # the private helpers the section names by module still exist
     for layer, name in re.findall(r"`(\w+)\.(_\w+)`", section):
         assert hasattr(getattr(matvar, layer), name), (layer, name)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject allows Python 3.10: every source and test file must parse in its
+    # grammar.  This checks syntax only, not which library calls 3.10 provides
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

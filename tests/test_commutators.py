@@ -46,6 +46,15 @@ def test_commutator_examples():
         commutator(np.eye(2), np.eye(3))
 
 
+def test_commutator_names_an_entry_past_the_largest_float():
+    # the products are checked once, where they are formed, with no RuntimeWarning
+    x, y = ginibre(4, 31), ginibre(4, 32)
+    with pytest.raises(OverflowError, match="^the commutator overflows$"):
+        commutator(1e200 * x, 1e200 * y)
+    big = commutator(1e150 * x, 1e150 * y)  # entries near 1e300 are still finite
+    npt.assert_allclose(big / 1e300, commutator(x, y), rtol=1e-12, atol=1e-12)
+
+
 def test_proof_identity_terms_on_paulis():
     # Anticommuting pair: the commutator term carries the full weight.
     comm = commutator(PAULI_X, PAULI_Z)

@@ -204,6 +204,10 @@ def test_validators():
             linalg.as_unit_vector(v)
     v = linalg.as_unit_vector([1.0, 0.0])
     assert v.shape == (2,)
+    # Hermitian to 1e-12 relative, at any scale
+    assert not linalg.is_hermitian(1e-20 * linalg.basis_matrix(1, 2, 2))
+    assert linalg.is_hermitian(1e-20 * linalg.PAULI_Y)
+    assert linalg.is_hermitian(np.zeros((3, 3)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -231,11 +235,23 @@ def test_overflow_message_reads_a_numpy_unit_as_a_plain_float():
 
 
 def test_modulus_names_a_square_past_the_largest_float():
-    # the square is checked once, where it is formed, with no RuntimeWarning
+    # the square is checked once, where it is formed, with no RuntimeWarning;
+    # the modulus is taken at unit scale, so only the square overflows.  At
+    # unit scale the square of the 1 underflows, so the modulus matches
+    # diag(1e200, 1) normwise, not entry by entry
+    x = np.diag([1e200, 1.0])
     for kind in linalg.MODULUS_KINDS:
-        for square in (linalg.modulus_squared, linalg.modulus):
-            with pytest.raises(OverflowError, match=f"^the squared {kind} modulus overflows$"):
-                square(np.diag([1e200, 1.0]), kind)
+        with pytest.raises(OverflowError, match=f"^the squared {kind} modulus overflows$"):
+            linalg.modulus_squared(x, kind)
+        assert np.linalg.norm(linalg.modulus(x, kind) - x) <= 1e-14 * 1e200
+
+
+def test_modulus_follows_the_scale_of_its_input():
+    x = linalg.ginibre(4, 233)
+    for kind in linalg.MODULUS_KINDS:
+        base = linalg.modulus(x, kind)
+        for c in (1e-300, 1e-200, 1e-160, 1e160, 1e300):
+            assert np.linalg.norm(linalg.modulus(c * x, kind) / c - base) <= 1e-14 * np.linalg.norm(base)
 
 
 def test_ensembles_deterministic_and_well_formed():
