@@ -28,6 +28,5 @@ from .suites import *
 
 __version__ = "0.1.0"
 
-# ConvergenceError is listed by both geometry and radii: one class, named once
-__all__ = list(dict.fromkeys(name for layer in (linalg, norms, geometry, radii, commutators, suites)
-                             for name in layer.__all__))
+__all__ = (linalg.__all__ + norms.__all__ + geometry.__all__ + radii.__all__
+           + commutators.__all__ + suites.__all__)

@@ -316,7 +316,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     out = args.save_witness and Path(args.save_witness)
     if out:  # an unusable path fails before the search, and bad arguments before the path is made
-        _search_arguments(args.p, args.q, args.r, args.dims, args.trials)
+        _search_arguments(args.p, args.q, args.r, args.dims, args.trials, args.seed)
         out.mkdir(parents=True, exist_ok=True)
     res = search_constant(args.p, args.q, args.r, args.dims,
                           trials=args.trials, seed=args.seed)

@@ -262,15 +262,17 @@ def _trial_ratio(a: np.ndarray, b: np.ndarray, p: NormSpec, q: NormSpec, r: Norm
     return _own_norm(a @ b - b @ a, p) / denom
 
 
-def _search_arguments(p, q, r, dims, trials: int) -> tuple[float, float, float, tuple[int, ...]]:
+def _search_arguments(p, q, r, dims, trials: int, seed: int) -> tuple[float, float, float, tuple[int, ...]]:
     """The checked exponents and dimensions of a search; raises ``ValueError``
-    on bad ones, or on fewer than one trial."""
+    on bad ones, on fewer than one trial, or on a negative seed."""
     p, q, r = _holder_exponents(p, q, r)
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ValueError(f"dims must be integers >= 2, got {dims!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return p, q, r, dims
 
 
@@ -284,7 +286,7 @@ def search_constant(p: float, q: float, r: float, dims, trials: int,
     trials).  A ratio beating the conjectured constant by more than 1e-6
     is flagged as a falsification candidate, never clamped.
     """
-    p, q, r, dims = _search_arguments(p, q, r, dims, trials)
+    p, q, r, dims = _search_arguments(p, q, r, dims, trials, seed)
     best_ratio = -math.inf
     best_x = best_y = None
     best_source = ""

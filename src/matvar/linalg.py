@@ -233,15 +233,9 @@ PAULI_Z = _frozen([[1, 0], [0, -1]])
 # random ensembles
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def ginibre(d: int, seed) -> np.ndarray:
     """d x d matrix with iid standard complex Gaussian entries."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     return (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
 
 
@@ -260,7 +254,7 @@ def random_unitary(d: int, seed) -> np.ndarray:
 
 def random_normal_matrix(d: int, seed) -> np.ndarray:
     """U diag(z) U* with Haar U and iid complex Gaussian z."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     u = random_unitary(d, g)
     z = (g.standard_normal(d) + 1j * g.standard_normal(d)) / np.sqrt(2.0)
     return (u * z) @ u.conj().T
@@ -270,5 +264,5 @@ def random_point_set(n: int, seed) -> np.ndarray:
     """n iid standard complex Gaussian points in the plane."""
     if n < 1:
         raise ValueError("point set needs at least one point")
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     return (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2.0)

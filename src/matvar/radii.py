@@ -56,7 +56,6 @@ __all__ = [
     "RadiusResult",
     "NumericalRangeSample",
     "Membership",
-    "ConvergenceError",
     "quantum_variance",
     "radius",
     "numerical_range",

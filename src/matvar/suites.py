@@ -5,7 +5,9 @@ sandwiches, radius duality and ordering, enclosing-circle identities, and
 the commutator bounds.  Checks are deterministic for a fixed (suite,
 trials, dim-max, seed): every trial draws from its own generator keyed by
 (seed, crc32(check id), trial), so results are independent of execution
-order and safe to parallelize.
+order and safe to parallelize.  Every check takes its input from its
+trial, through that generator or the trial index; the witness closed
+forms, which sample nothing, take the trial's exponent triple.
 
 A check reports a signed slack per trial (negative means "this far past
 the allowed edge") and passes when slack >= -tol.  Checks whose natural
@@ -318,18 +320,15 @@ def _check_tensor_inflation(rng, dim_max, trial):
 
 
 def _check_witness_closed_forms(rng, dim_max, trial):
+    # trial t takes the (t mod 64)-th triple of (1, 2, 3, inf)^3: 64 trials cover the grid
     grid = (1.0, 2.0, 3.0, math.inf)
+    p, q, r = grid[trial // 16 % 4], grid[trial // 4 % 4], grid[trial % 4]
     worst = 0.0
-    for p in grid:
-        for q in grid:
-            for r in grid:
-                for fam in witness_families(p, q, r):
-                    denom = (norm(fam.x, NormSpec.schatten(q))
-                             * norm(fam.y, NormSpec.schatten(r)))
-                    computed = norm(commutator(fam.x, fam.y),
-                                    NormSpec.schatten(p)) / denom
-                    worst = max(worst, abs(computed - fam.exact_ratio))
-    return -worst, None
+    for fam in witness_families(p, q, r):
+        denom = norm(fam.x, NormSpec.schatten(q)) * norm(fam.y, NormSpec.schatten(r))
+        computed = norm(commutator(fam.x, fam.y), NormSpec.schatten(p)) / denom
+        worst = max(worst, abs(computed - fam.exact_ratio))
+    return -worst, f"p={p:g} q={q:g} r={r:g}"
 
 
 def _check_search_determinism(rng, dim_max, trial):
@@ -436,14 +435,16 @@ def run_suite(suite: str, trials: int, dim_max: int, seed: int,
     """Run every check of `suite` for `trials` independent trials each.
 
     A trial passes when its slack is at least -tol, or minus the check's own
-    tolerance where it fixes one; a `tol` that is not finite raises
-    ``ValueError``."""
+    tolerance where it fixes one; a `tol` that is not finite, or a negative
+    `seed`, raises ``ValueError``."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim_max < 2:
         raise ValueError(f"dim-max must be >= 2, got {dim_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _require_finite(tol, "the tolerance")
     start = time.monotonic()
     results = []

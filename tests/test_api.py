@@ -54,6 +54,16 @@ def test_readme_library_use_runs_on_the_public_api(capsys):
         assert hasattr(getattr(matvar, layer), name), (layer, name)
 
 
+def test_every_verify_check_reads_its_trial():
+    # a check that reads neither its generator nor its trial index repeats one computation on every trial
+    tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
+    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
+    assert len(checks) == len(suites._SUITES["all"])
+    for check in checks:
+        read = {n.id for n in ast.walk(check) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert read & {"rng", "trial"}, check.name
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject allows Python 3.10: every source and test file must parse in its
     # grammar.  This checks syntax only, not which library calls 3.10 provides

@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -332,6 +334,33 @@ def test_verify_cli(tmp_path, capsys):
             run_suite(suite, trials=trials, dim_max=dim_max, seed=0)
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "scalar", "--trials", "2", "--dim-max", "3"],
+    ["search", "--p", "2", "--q", "2", "--r", "2", "--trials", "3"],
+], ids=["verify", "search"])
+def test_a_negative_seed_exits_with_code_two(capsys, command):
+    # the seed is checked by name before any generator is keyed by it
+    assert main([*command, "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
+
+def test_witness_closed_forms_take_one_exponent_triple_per_trial(monkeypatch):
+    # any 64 consecutive trials evaluate each triple of (1, 2, 3, inf)^3 once
+    seen = []
+    real = matvar.suites.witness_families
+
+    def recording(p, q, r):
+        seen.append((p, q, r))
+        return real(p, q, r)
+
+    monkeypatch.setattr(matvar.suites, "witness_families", recording)
+    report = run_suite("commutator", trials=64, dim_max=2, seed=0)
+    assert sorted(seen) == sorted(itertools.product((1.0, 2.0, 3.0, math.inf), repeat=3))
+    (entry,) = [c for c in report.checks if c.check_id == "witness-closed-forms"]
+    assert entry.passed == 64 and entry.failed == 0
+    assert re.fullmatch(r"p=\S+ q=\S+ r=\S+", entry.witness)
+
+
 def test_verify_deterministic_json(capsys):
     def run():
         rc = main(["verify", "--suite", "scalar", "--trials", "4",
@@ -400,7 +429,8 @@ def test_search_text_output(capsys, monkeypatch):
     ["--p", "2", "--q", "2", "--r", "2", "--trials", "0"],
     ["--p", "1", "--q", "4", "--r", "4"],
     ["--p", "2", "--q", "2", "--r", "2", "--dims", "1,2"],
-], ids=["no-trials", "exponents", "dims-below-two"])
+    ["--p", "2", "--q", "2", "--r", "2", "--seed", "-1", "--trials", "3"],
+], ids=["no-trials", "exponents", "dims-below-two", "negative-seed"])
 def test_rejected_search_leaves_no_witness_directory(tmp_path, capsys, args):
     # the arguments are checked before the witness directory is made
     out = tmp_path / "newdir"
