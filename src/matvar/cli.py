@@ -360,18 +360,11 @@ _EXAMPLES = {
 }
 
 
-def _example_matrices() -> dict[str, np.ndarray]:
-    fams = {f.name: f for f in witness_families(2, 2, 2)}
-    out = dict(_EXAMPLES)
-    out["contraction"] = fams["contraction_unitary"].x
-    out["reflection"] = fams["contraction_unitary"].y
-    return out
-
-
 def _cmd_examples(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = _example_matrices()
+    pair = {f.name: f for f in witness_families(2, 2, 2)}["contraction_unitary"]
+    names = dict(_EXAMPLES, contraction=pair.x, reflection=pair.y)
     for name, matrix in sorted(names.items()):
         save_matrix(out / f"{name}.json", matrix)
     print(f"wrote {len(names)} matrices to {out}")
@@ -400,10 +393,11 @@ def main(argv=None) -> int:
         # the reader has gone: send what is still buffered nowhere, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ValueError, ConvergenceError, OverflowError, OSError) as exc:
+    except (ValueError, ConvergenceError, OverflowError, OSError, MemoryError) as exc:
         # ValueError covers np.linalg.LinAlgError, OSError a path that cannot
         # be read or written (BrokenPipeError, also an OSError, is caught
-        # above); exit code 1 is reserved for verify runs whose checks failed
+        # above), MemoryError an array larger than the machine can allocate;
+        # exit code 1 is reserved for verify runs whose checks failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

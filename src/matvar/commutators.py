@@ -14,6 +14,7 @@ could, in principle, falsify the conjecture.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +23,18 @@ from .geometry import enclosing_circle
 from .linalg import (
     PAULI_X,
     PAULI_Z,
+    _require_count,
     _require_finite,
     _scaled,
     _singular_values,
-    _unscaled,
+    _unscaled_pair,
     basis_matrix,
     ginibre,
     modulus_squared,
     random_normal_matrix,
     require_square,
 )
-from .norms import NormSpec, _as_p, _evaluate, norm
+from .norms import NormSpec, _as_p, _evaluate, _inv
 from .radii import quantum_variance, radius
 
 __all__ = [
@@ -48,10 +50,6 @@ __all__ = [
     "search_constant",
     "conjectured_constant",
 ]
-
-
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
 
 
 def _holder_exponents(p, q, r) -> tuple[float, float, float]:
@@ -79,13 +77,6 @@ def commutator(x, y) -> np.ndarray:
     if not np.isfinite(c).all():
         raise OverflowError("the commutator overflows")
     return c
-
-
-def _unscaled_pair(v: float, ux: float, uy: float, name: str) -> float:
-    # v ux uy, overflowing only if the result does
-    if (ux < 1.0) != (uy < 1.0):  # units on opposite sides of 1: ux uy is finite
-        return _unscaled(v, ux * uy, name)
-    return _unscaled(_unscaled(v, ux, name), uy, name)
 
 
 def proof_identity_residual(x, y) -> float:
@@ -149,9 +140,10 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
     p, q, r = _holder_exponents(p, q, r)
     (ux, a), (uy, b) = _scaled(a), _scaled(b)
 
-    comm = a @ b - b @ a
-    lhs = norm(comm, NormSpec.schatten(p))
-    denom = norm(a, NormSpec.schatten(q)) * norm(b, NormSpec.schatten(r))
+    sa, sb = _singular_values(a), _singular_values(b)  # every norm below is read off these and sc
+    sc = _singular_values(a @ b - b @ a)
+    lhs = _evaluate(sc, NormSpec.schatten(p))
+    denom = _evaluate(sa, NormSpec.schatten(q)) * _evaluate(sb, NormSpec.schatten(r))
     ratio = lhs / denom if denom > 0.0 else None
 
     def entry(name: str, value: float) -> BoundEntry:
@@ -160,10 +152,10 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
                           _unscaled_pair(slack, ux, uy, f"{name} slack"))
 
     bounds: list[BoundEntry] = []
-    x2 = norm(a, NormSpec.schatten(2))
+    x2 = _evaluate(sa, NormSpec.schatten(2))
     two = min(2, a.shape[0])  # the Ky Fan 2-norms' order: a missing second singular value is 0
     if p == 2.0 and q == 2.0 and r == 2.0:
-        bounds.append(entry("frobenius", math.sqrt(2.0) * x2 * norm(b, NormSpec.schatten(2))))
+        bounds.append(entry("frobenius", math.sqrt(2.0) * x2 * _evaluate(sb, NormSpec.schatten(2))))
     if abs(_inv(p) - _inv(q) - _inv(r)) <= 1e-12:
         bounds.append(entry("holder", 2.0 * denom))
     if p == 2.0:
@@ -172,13 +164,13 @@ def evaluate_bounds(x, y, p: float, q: float, r: float,
             bounds.append(entry("chain_variance", 2.0 * x2 * math.sqrt(var)))
         bounds.append(entry("chain_cartesian_radius", 2.0 * x2 * radius(b, "C").value))
         bounds.append(entry("chain_kyfan_two", math.sqrt(2.0) * x2
-                            * norm(b, NormSpec.kyfanpk(2, two))))
+                            * _evaluate(sb, NormSpec.kyfanpk(2, two))))
         bounds.append(entry("chain_schatten", 2.0 ** max(0.5, 1.0 - _inv(p)) * x2
-                            * norm(b, NormSpec.schatten(p))))
+                            * _evaluate(sb, NormSpec.schatten(p))))
         normal = float(np.abs(b @ b.conj().T - b.conj().T @ b).max()) <= 1e-12 * float(np.abs(b).max()) ** 2
         if normal:
             bounds.append(entry("normal_radius", 2.0 * x2 * enclosing_circle(np.linalg.eigvals(b)).radius))
-            bounds.append(entry("normal_kyfan_two", x2 * norm(b, NormSpec.kyfan(two))))
+            bounds.append(entry("normal_kyfan_two", x2 * _evaluate(sb, NormSpec.kyfan(two))))
     return BoundReport(_unscaled_pair(lhs, ux, uy, "commutator norm"), bounds, ratio)
 
 
@@ -266,11 +258,11 @@ def _search_arguments(p, q, r, dims, trials: int, seed: int) -> tuple[float, flo
     """The checked exponents and dimensions of a search; raises ``ValueError``
     on bad ones, on fewer than one trial, or on a negative seed."""
     p, q, r = _holder_exponents(p, q, r)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
+    dims = tuple(dims)
+    if not dims or not all(isinstance(d, numbers.Integral) and d >= 2 for d in dims):
         raise ValueError(f"dims must be integers >= 2, got {dims!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    dims = tuple(int(d) for d in dims)
+    _require_count(trials, "trials", 1)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return p, q, r, dims

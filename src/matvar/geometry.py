@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _as_vector, _divide, _require_finite, _scaled, _unscaled
+from .linalg import _as_vector, _divide, _require_finite, _scaled, _unscaled, _unscaled_pair
 
 __all__ = [
     "Circle",
@@ -70,7 +70,7 @@ def variance(points, probs) -> float:
     p = _as_probs(probs, x.size)
     mu = np.dot(p, x)
     square = max(float(np.dot(p, np.abs(x - mu) ** 2)), 0.0)
-    return _unscaled(_unscaled(square, unit, "variance"), unit, "variance")
+    return _unscaled_pair(square, unit, unit, "variance")
 
 
 def murthy_sethi_bound(lo: float, hi: float) -> float:

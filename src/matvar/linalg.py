@@ -4,13 +4,14 @@ Input validation, singular values, the three matrix moduli (left, right,
 Cartesian), a handful of fixed matrices, and seeded random ensembles.
 Everything operates on plain complex128 numpy arrays; no global state.  The
 power-of-two scaling every other module uses, ``_scaled`` and its map back
-``_unscaled``, lives here.
+``_unscaled`` (``_unscaled_pair`` for two units), lives here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -110,6 +111,13 @@ def _require_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_count(value, name: str, least: int) -> int:
+    # a Python or numpy integer >= least, as an int: a float is rejected, not truncated
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # power-of-two scaling
 
@@ -138,6 +146,13 @@ def _unscaled(q, unit: float, name: str):
         if np.isfinite(out).all():
             return out
     raise OverflowError(f"the {name}, {float(unit)!r} times {float(np.abs(q).max())!r}, overflows")
+
+
+def _unscaled_pair(v: float, ux: float, uy: float, name: str) -> float:
+    # v ux uy, the map back from two units, overflowing only if the result does
+    if (ux < 1.0) != (uy < 1.0):  # units on opposite sides of 1: ux uy is finite
+        return _unscaled(v, ux * uy, name)
+    return _unscaled(_unscaled(v, ux, name), uy, name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _scaled, _unscaled, f_matrix, require_square, singular_values
+from .linalg import _require_count, _scaled, _unscaled, f_matrix, require_square, singular_values
 
 __all__ = ["NormSpec", "norm", "f_ratio_bounds"]
 
@@ -36,6 +36,10 @@ def _as_p(value, name: str = "p") -> float:
     return p
 
 
+def _inv(p: float) -> float:
+    return 0.0 if math.isinf(p) else 1.0 / p
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Which unitarily invariant norm to evaluate."""
@@ -49,9 +53,7 @@ class NormSpec:
         if self.family in ("schatten", "kyfanpk"):
             object.__setattr__(self, "p", _as_p(self.p))
         if self.family in ("kyfan", "kyfanpk"):
-            if self.k is None or int(self.k) < 1:
-                raise ValueError(f"Ky Fan order must be a positive integer, got {self.k!r}")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", _require_count(self.k, "Ky Fan order", 1))
         elif self.family == "gauge":
             if not self.alpha:
                 raise ValueError("gauge norm needs a nonempty weight vector")

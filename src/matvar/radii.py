@@ -50,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ConvergenceError, _circle_two_fixed, _exchange, _smallest_disc, _support_margin
-from .linalg import _divide, _require_finite, _scaled, _unscaled, as_density, modulus_squared, require_square
+from .linalg import (_divide, _require_count, _require_finite, _scaled, _unscaled, _unscaled_pair, as_density,
+                     modulus_squared, require_square)
 
 __all__ = [
     "RadiusResult",
@@ -70,12 +71,6 @@ __all__ = [
 _GRID = 32
 
 
-def _angles(k: int) -> np.ndarray:
-    if k < 8:
-        raise ValueError(f"need at least 8 angles, got {k}")
-    return 2.0 * math.pi * np.arange(k) / k
-
-
 # ---------------------------------------------------------------------------
 # quantum variance
 
@@ -89,7 +84,7 @@ def quantum_variance(x, rho, kind: str) -> float:
     unit, c = _scaled(a)  # |X|^2 neither overflows nor underflows; the variance maps back by unit^2
     second = float(np.trace(r @ modulus_squared(c, kind)).real)
     mean = complex(np.trace(r @ c))
-    return _unscaled(_unscaled(max(second - abs(mean) ** 2, 0.0), unit, "variance"), unit, "variance")
+    return _unscaled_pair(max(second - abs(mean) ** 2, 0.0), unit, unit, "variance")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,8 @@ def _support_grid(a: np.ndarray, k: int, points: bool = False):
     eigensolves for even k and k for odd: the top eigenpair of
     Re(e^{i (theta + pi)} X) is the bottom one at theta, and an odd grid is
     every other angle of the 2k grid."""
-    theta, step = _angles(k), 1 + k % 2
+    k = _require_count(k, "the number of angles", 8)
+    theta, step = 2.0 * math.pi * np.arange(k) / k, 1 + k % 2
     spectra = _support(a, (theta / step)[: step * k // 2], points)  # the first half of the step k grid
     w, v = spectra if points else (spectra, None)
     h = np.concatenate((w[:, -1], -w[:, 0]))[::step]
@@ -233,16 +229,6 @@ def _variance(b: np.ndarray, msq: np.ndarray, psi: np.ndarray) -> float:
     return float(np.vdot(psi, msq @ psi).real) - abs(np.vdot(psi, b @ psi)) ** 2
 
 
-def _kink_witness(b: np.ndarray, msq: np.ndarray, y: complex, vecs: list) -> tuple[float, np.ndarray]:
-    """The witness at a kink, and its variance: the unit u with
-    <u, B u> = y in the span of the top eigenvectors ``vecs``, whose field
-    values hold y: the at most three that fix the exchange's disc, or at
-    the trace center every one within _KINK_GAP of the top.  Any unit u
-    gives a lower bound, so a miss only leaves the gap open."""
-    u = _polygon_hit(b, vecs, y)
-    return _variance(b, msq, u), u
-
-
 def _witness(b: np.ndarray, msq: np.ndarray, y: complex,
              eig: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray, complex, float]:
     """Pure state of largest variance along Newton's iteration for
@@ -325,7 +311,7 @@ def radius(x, kind: str) -> RadiusResult:
     pass ends in the same witness step at y:
 
     (a) a kink: the unit vector with mean y in the span of the top
-        eigenvectors (``_kink_witness``): after an exchange those that fix
+        eigenvectors (``_polygon_hit``): after an exchange those that fix
         its disc, at the trace center those within 1e-3 lam_1 of lam_1.  A
         kink has a multiple top eigenvalue, so (a) is tried only where
         lam_1 - lam_2 <= 1e-3 lam_1 for the top two eigenvalues of
@@ -378,7 +364,8 @@ def radius(x, kind: str) -> RadiusResult:
         if rtol == 0.0 or w[-1] - w[-2] <= _KINK_GAP * w[-1]:  # (a) a kink: a nearly multiple top
             vecs = (list(v[:, w >= w[-1] - _KINK_GAP * w[-1]].T) if rtol is None  # the top ones at 0
                     else [p[2] for p in disc.support])  # those that fix the disc
-            primal, witness = _kink_witness(b, msq, y, vecs)
+            witness = _polygon_hit(b, vecs, y)  # any unit vector bounds below: a miss leaves the gap open
+            primal = _variance(b, msq, witness)
         if not closed(value, primal) and _variance(b, msq, v[:, -1]) > _NEWTON_VARIANCE * w[-1]:
             primal, witness, centre, top = _witness(b, msq, y, eigs[y])  # (b) a smooth optimum
             at = math.sqrt(max(top, 0.0))

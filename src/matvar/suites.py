@@ -42,14 +42,16 @@ from .geometry import (
 )
 from .linalg import (
     MODULUS_KINDS,
+    _require_count,
     _require_finite,
+    _singular_values,
     ginibre,
     modulus,
     random_normal_matrix,
     random_point_set,
     random_unitary,
 )
-from .norms import NormSpec, f_ratio_bounds, norm
+from .norms import NormSpec, _evaluate, _inv, f_ratio_bounds, norm
 from .radii import (
     central_numerical_radius,
     membership_in_range,
@@ -128,18 +130,18 @@ def _check_cartesian_modulus_schatten(rng, dim_max, trial):
     p = (2.0, 3.0, 4.0, math.inf)[trial % 4]
     c = norm(modulus(x, "C"), NormSpec.schatten(p))
     full = norm(x, NormSpec.schatten(p))
-    scale = 2.0 ** (0.5 - (0.0 if math.isinf(p) else 1.0 / p))
+    scale = 2.0 ** (0.5 - _inv(p))
     return min(full - c, scale * c - full), None
 
 
 def _check_cartesian_kyfan_domination(rng, dim_max, trial):
     d = _dim(rng, dim_max, 2)
     x = ginibre(d, rng)
-    m = modulus(x, "C")
+    sx, sm = _singular_values(x), _singular_values(modulus(x, "C"))
     worst = math.inf
     for k in range(1, d + 1):
         spec = NormSpec.kyfanpk(2, k)
-        worst = min(worst, norm(x, spec) - norm(m, spec))
+        worst = min(worst, _evaluate(sx, spec) - _evaluate(sm, spec))
     return worst, None
 
 
@@ -195,11 +197,11 @@ def _check_normal_chain(rng, dim_max, trial):
         u = random_unitary(d, rng)
         rho = u @ np.diag(evals) @ u.conj().T
         worst = min(worst, r - math.sqrt(quantum_variance(x, rho, "C")))
-    half_kf2 = 0.5 * norm(x, NormSpec.kyfan(2))
+    sv = _singular_values(x)
+    half_kf2 = 0.5 * _evaluate(sv, NormSpec.kyfan(2))
     worst = min(worst, half_kf2 - r)
     for p in (1.0, 2.0, 3.0, math.inf):
-        ip = 0.0 if math.isinf(p) else 1.0 / p
-        worst = min(worst, 2.0 ** (-ip) * norm(x, NormSpec.schatten(p)) - half_kf2)
+        worst = min(worst, 2.0 ** (-_inv(p)) * _evaluate(sv, NormSpec.schatten(p)) - half_kf2)
     return worst, None
 
 
@@ -307,8 +309,6 @@ def _check_tensor_inflation(rng, dim_max, trial):
     d = _dim(rng, min(dim_max, 4), 2)
     x, y = ginibre(d, rng), ginibre(d, rng)
     p, q, r = ((2.0, 2.0, 2.0), (2.0, 2.0, 4.0), (3.0, 3.0, math.inf))[trial % 3]
-    def inv(e):
-        return 0.0 if math.isinf(e) else 1.0 / e
     base = (norm(commutator(x, y), NormSpec.schatten(p))
             / (norm(x, NormSpec.schatten(q)) * norm(y, NormSpec.schatten(r))))
     big = (2, 3)[trial % 2]
@@ -316,7 +316,7 @@ def _check_tensor_inflation(rng, dim_max, trial):
     xt, yt = np.kron(x, eye), np.kron(y, eye)
     inflated = (norm(commutator(xt, yt), NormSpec.schatten(p))
                 / (norm(xt, NormSpec.schatten(q)) * norm(yt, NormSpec.schatten(r))))
-    return -abs(inflated - base * float(big) ** (inv(p) - inv(q) - inv(r))), None
+    return -abs(inflated - base * float(big) ** (_inv(p) - _inv(q) - _inv(r))), None
 
 
 def _check_witness_closed_forms(rng, dim_max, trial):
@@ -439,10 +439,7 @@ def run_suite(suite: str, trials: int, dim_max: int, seed: int,
     `seed`, raises ``ValueError``."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if dim_max < 2:
-        raise ValueError(f"dim-max must be >= 2, got {dim_max}")
+    trials, dim_max = _require_count(trials, "trials", 1), _require_count(dim_max, "dim-max", 2)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     _require_finite(tol, "the tolerance")

@@ -72,3 +72,17 @@ def test_sources_parse_as_python_3_10():
     assert files
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_every_source_module_uses_what_it_imports():
+    # an imported name that no line reads, such as a function whose last call
+    # went, is dead code; a name in the module's __all__ is a re-export
+    for path in sorted(pathlib.Path(matvar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    and isinstance(node.value, ast.List) for elt in node.value.elts}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - read - exported - {"*", "annotations"} == set(), path.name

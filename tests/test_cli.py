@@ -328,10 +328,22 @@ def test_verify_cli(tmp_path, capsys):
     assert isinstance(obj["elapsed_ms"], int)
     # the library rejects what the flags' choices and types let through
     for suite, trials, dim_max, message in (("unknown", 1, 2, "unknown suite 'unknown'"),
-                                            ("norms", 0, 2, "trials must be >= 1"),
-                                            ("norms", 1, 1, "dim-max must be >= 2")):
+                                            ("norms", 0, 2, "trials must be an integer >= 1, got 0"),
+                                            ("norms", 1.5, 2, "trials must be an integer >= 1, got 1.5"),
+                                            ("norms", 1, 1, "dim-max must be an integer >= 2, got 1"),
+                                            ("norms", 1, 3.5, "dim-max must be an integer >= 2, got 3.5")):
         with pytest.raises(ValueError, match=message):
             run_suite(suite, trials=trials, dim_max=dim_max, seed=0)
+    assert run_suite("scalar", trials=np.int64(1), dim_max=np.int64(3), seed=0).total_failures == 0
+
+
+def test_a_computation_larger_than_memory_exits_with_code_two(capsys):
+    # 1e8 x 1e8 doubles, 71 PiB, are more than any address space holds: numpy
+    # refuses the request before it touches memory
+    argv = ["search", "--p", "2", "--q", "2", "--r", "2", "--trials", "1", "--dims", "100000000"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [

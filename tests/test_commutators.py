@@ -222,6 +222,18 @@ def test_evaluate_bounds_verdict_is_relative(monkeypatch):
         assert by_name["frobenius"].holds
 
 
+def test_evaluate_bounds_takes_one_svd_per_matrix(monkeypatch):
+    # every norm is read off the singular values of X, Y and [X, Y], each taken once
+    real, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    rng = np.random.default_rng(451)
+    for y, normal in ((random_normal_matrix(8, rng), True), (ginibre(8, rng), False)):
+        calls.clear()
+        rep = evaluate_bounds(ginibre(8, rng), y, 2, 2, 2)
+        assert len(calls) == 3
+        assert ("normal_kyfan_two" in {e.name for e in rep.bounds}) == normal
+
+
 def test_evaluate_bounds_exponent_validation():
     with pytest.raises(ValueError, match="1/p <= 1/q \\+ 1/r"):
         evaluate_bounds(PAULI_X, PAULI_Z, 1, 3, 3)
@@ -431,6 +443,13 @@ def test_search_validation():
         search_constant(2, 2, 2, (1,), trials=10, seed=0)
     with pytest.raises(ValueError):
         search_constant(2, 2, 2, (2,), trials=0, seed=0)
+    # truncated, dims (2.7, 3.9) would search (2, 3)
+    with pytest.raises(ValueError, match=r"dims must be integers >= 2, got \(2.7, 3.9\)"):
+        search_constant(2, 2, 2, (2.7, 3.9), trials=2, seed=0)
+    with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
+        search_constant(2, 2, 2, (2,), trials=2.5, seed=0)
+    res = search_constant(2, 2, 2, np.array([2, 3]), trials=np.int64(2), seed=0)  # numpy integers are counts
+    assert res.dims_tried == (2, 3) and all(type(d) is int for d in res.dims_tried)
 
 
 def test_ratio_tensor_inflation():

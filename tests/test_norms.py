@@ -61,8 +61,13 @@ def test_kyfanpk_and_gauge():
 def test_spec_validation():
     with pytest.raises(ValueError, match="p >= 1"):
         NormSpec.schatten(0.5)
-    with pytest.raises(ValueError, match="positive integer"):
-        NormSpec.kyfan(0)
+    for k in (0, 2.5):  # truncated, 2.5 would give order 2
+        with pytest.raises(ValueError, match=f"Ky Fan order must be an integer >= 1, got {k}"):
+            NormSpec.kyfan(k)
+    with pytest.raises(ValueError, match="Ky Fan order must be an integer >= 1, got 2.9"):
+        NormSpec.kyfanpk(2, 2.9)  # truncated, it would label itself kyfanpk:2:2
+    spec = NormSpec.kyfanpk(2, np.int64(2))  # a numpy integer is a count
+    assert spec.label() == "kyfanpk:2:2" and type(spec.k) is int
     with pytest.raises(ValueError, match="nonincreasing"):
         NormSpec.weighted_gauge([0.5, 1.0])
     with pytest.raises(ValueError, match="vanish"):

@@ -261,7 +261,7 @@ def test_polygon_hit_lands_inside_on_edges_and_at_vertices():
         m = int(rng.integers(2, 6))
         b = (linalg.ginibre(m, rng), linalg.random_normal_matrix(m, rng),
              linalg.random_hermitian(m, rng))[trial % 3]
-        vecs = list(radii._support(b, radii._angles(8), vectors=True)[1][..., -1])
+        vecs = list(radii._support(b, 2.0 * math.pi * np.arange(8) / 8, vectors=True)[1][..., -1])
         pts = np.array([np.vdot(u, b @ u) for u in vecs])
         j = int(rng.integers(8))
         for y in (rng.dirichlet(np.ones(8)) @ pts, 0.5 * (pts[j] + pts[(j + 1) % 8]), pts[j]):
@@ -337,8 +337,10 @@ def test_numerical_range_of_hermitian_is_real_segment():
     # support at angle 0 is lam_max, at angle pi is -lam_min
     assert_allclose(sample.support_values[0], 1.0, atol=1e-12)
     assert_allclose(sample.support_values[8], 1.0, atol=1e-12)
-    with pytest.raises(ValueError, match="angles"):
-        radii.numerical_range(linalg.PAULI_Z, 4)
+    for k in (4, 8.5):
+        with pytest.raises(ValueError, match=f"the number of angles must be an integer >= 8, got {k}"):
+            radii.numerical_range(linalg.PAULI_Z, k)
+    assert radii.numerical_range(linalg.PAULI_Z, np.int64(9)).angles.shape == (9,)
 
 
 def test_numerical_range_of_nilpotent_unit_is_half_disk():
@@ -912,7 +914,7 @@ def test_radius_routes(monkeypatch):
     # gives the same value
     taken = []
     calls = []
-    for name in ("_kink_witness", "_witness", "_exchange"):
+    for name in ("_polygon_hit", "_witness", "_exchange"):
         def counted(*args, _real=getattr(radii, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -929,7 +931,7 @@ def test_radius_routes(monkeypatch):
             return -math.inf, None, y, math.inf
 
         with monkeypatch.context() as m:
-            m.setattr(radii, "_kink_witness", lambda *args: (-math.inf, None))
+            m.setattr(radii, "_polygon_hit", lambda b, vecs, y: np.zeros(b.shape[0], dtype=np.complex128))
             m.setattr(radii, "_witness", witness)
             res = radii.radius(x, kind)
         assert not calls or calls.count("_exchange") == 2
@@ -1014,12 +1016,13 @@ def test_radius_tries_the_kink_witness_only_at_a_nearly_multiple_top(monkeypatch
     # trace center, before any exchange, only where they do not.  Trying (a)
     # on every pass finds the same values on the stress set
     seen = []  # "x" per exchange, and (route, relative top gap at y) per witness
-    for name, route in (("_exchange", None), ("_kink_witness", "a"), ("_witness", "b")):
+    for name, route in (("_exchange", None), ("_polygon_hit", "a"), ("_witness", "b")):
         def counted(*args, _real=getattr(radii, name), _route=route):
             if _route is None:
                 seen.append("x")
             else:
-                b, msq, y = args[:3]
+                b, y = args[0], args[2]  # of _polygon_hit(b, vecs, y) and _witness(b, msq, y, eig)
+                msq = linalg.modulus_squared(b, kind)  # |B|^2, as radius forms it
                 w = np.linalg.eigvalsh(msq - np.conj(y) * b - y * b.conj().T + abs(y) ** 2 * np.eye(b.shape[0]))
                 seen.append((_route, (w[-1] - w[-2]) / w[-1]))
             return _real(*args)
